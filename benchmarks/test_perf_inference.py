@@ -15,6 +15,7 @@ pool is bit-identical to serial; it only changes wall time).
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -145,7 +146,9 @@ def test_perf_posterior_sampling(benchmark):
 
 
 def test_perf_replay_kernel(benchmark):
-    """Analytic vs reference TCP kernel (bit-identical; see the parity suite).
+    """Analytic vs reference scalar TCP kernel (bit-identical; see the
+    parity suite).  ``TCPConnection`` runs the analytic kernel on the
+    ``numpy`` and ``compiled`` tiers.
 
     Two regimes, measured in one process so container CPU noise cancels
     out of the ratios:
@@ -199,12 +202,12 @@ def test_perf_replay_kernel(benchmark):
     # Interleaved min-of-3 per kernel: a single 5-repeat mean sits close
     # enough to the 0.8x acceptance gate to flake when the container CPU
     # gets a noise burst mid-measurement.
-    analytic_s = run_once(benchmark, lambda: run_sessions("analytic"))
+    analytic_s = run_once(benchmark, lambda: run_sessions("numpy"))
     reference_s = run_sessions("reference")
     for _ in range(2):
-        analytic_s = min(analytic_s, run_sessions("analytic"))
+        analytic_s = min(analytic_s, run_sessions("numpy"))
         reference_s = min(reference_s, run_sessions("reference"))
-    stress_analytic_s = run_stress("analytic")
+    stress_analytic_s = run_stress("numpy")
     stress_reference_s = run_stress("reference")
 
     replays_per_sec = 1.0 / analytic_s
@@ -411,21 +414,26 @@ def test_perf_batch_replay(benchmark):
     assert ok
 
 
-def test_perf_kernel_tiers(benchmark):
-    """Replay kernel tiers on evaluate_many (PR 6).
+def test_perf_kernel_tiers(benchmark, monkeypatch):
+    """Replay kernel tiers on evaluate_many.
 
     The same bench-scale query sweep as ``test_perf_batch_replay``, run
-    once per selectable kernel tier: ``analytic`` (the PR-5 path),
-    ``scratch`` (preallocated-scratch batch kernels, the default),
-    ``compiled`` (whole-batch njit/cc download kernel, when a backend is
-    buildable) and ``fused`` (the PR-8 whole-session kernel: downloads,
-    ABR decisions and buffer accounting in one compiled call per
-    session).  All tiers are bit-identical (``tests/test_batch_replay.py``,
-    ``tests/test_compiled_kernel.py``); the interleaved A/B cancels
-    container CPU noise out of the ratios.  Acceptance: the best
-    available tier is >= 1.5x over the PR-5 analytic path, and the fused
-    tier beats the PR-6 compiled tier by >= 1.5x when both have a real
-    backend.
+    once per replay tier: ``reference`` (the per-RTT scalar loop, lane by
+    lane), ``numpy`` (the allocation-free vectorised chunk loop) and
+    ``compiled`` (the default: whole sessions — downloads, ABR decisions
+    and buffer accounting — in one compiled call, when a numba or cc+cffi
+    backend is live).  A fourth arm, ``per_chunk``, times the compiled
+    tier with the session kernel switched off: the per-chunk compiled
+    download loop the tier falls back to for sessions the session kernel
+    cannot run.  All arms are bit-identical
+    (``tests/test_batch_replay.py``, ``tests/test_compiled_kernel.py``);
+    the interleaved A/B cancels container CPU noise out of the ratios.
+    Acceptance on a real backend: compiled beats numpy by >= 1.5x, and
+    the session kernel beats its per-chunk fallback by >= 1.5x (so a
+    session kernel that slows to its fallback's speed, or stops being
+    used, fails here).  The reference ratio is informational: ABR
+    decisions and the chunk loop are shared by every tier, so the
+    per-lane scalar downloads cost numpy only ~1.2x at this scale.
     """
     from repro import change_abr, paper_corpus
     from repro.player import _fused
@@ -437,11 +445,9 @@ def test_perf_kernel_tiers(benchmark):
     corpus = paper_corpus(
         count=min(N_TRACES, 4), duration_s=TRACE_DURATION_S, seed=CORPUS_SEED
     )
-    tiers = ["analytic", "scratch"]
-    if _compiled.available():
+    tiers = ["reference", "numpy"]
+    if _compiled.backend() != "python":
         tiers.append("compiled")
-    if _fused.backend() != "python":
-        tiers.append("fused")
     engines = {
         tier: CounterfactualEngine(
             paper_veritas_config(), n_samples=N_SAMPLES, seed=ENGINE_SEED,
@@ -449,71 +455,81 @@ def test_perf_kernel_tiers(benchmark):
         )
         for tier in tiers
     }
-    prepared = engines["scratch"].prepare_corpus(corpus, setting_a)
+    fastest = tiers[-1]
+    prepared = engines[fastest].prepare_corpus(corpus, setting_a)
 
-    for engine in engines.values():  # warm caches (and the compiled build)
-        engine.evaluate_many(prepared, settings_b)
+    def evaluate(arm):
+        if arm != "per_chunk":
+            return engines[arm].evaluate_many(prepared, settings_b)
+        with monkeypatch.context() as patch:
+            patch.setattr(_fused, "available", lambda: False)
+            return engines["compiled"].evaluate_many(prepared, settings_b)
 
-    times: dict[str, list[float]] = {tier: [] for tier in tiers}
+    arms = list(tiers)
+    if "compiled" in tiers and _fused.backend() != "python":
+        arms.insert(-1, "per_chunk")
+    for arm in arms:  # warm caches (and the compiled build)
+        evaluate(arm)
+
+    times: dict[str, list[float]] = {arm: [] for arm in arms}
     for _ in range(3):
-        for tier in tiers:
+        for arm in arms:
             start = time.perf_counter()
-            results = engines[tier].evaluate_many(prepared, settings_b)
-            times[tier].append(time.perf_counter() - start)
-    run_once(
-        benchmark, lambda: engines["scratch"].evaluate_many(prepared, settings_b)
-    )
+            results = evaluate(arm)
+            times[arm].append(time.perf_counter() - start)
+    run_once(benchmark, lambda: evaluate(fastest))
 
     # 2 (truth + baseline) + K sample replays per (setting, trace) pair,
     # each replaying every chunk of the bench video.
     n_replays = len(settings_b) * len(corpus) * (2 + N_SAMPLES)
     n_chunks = n_replays * setting_a.video.n_chunks
-    best = {tier: min(times[tier]) for tier in tiers}
-    analytic_s = best["analytic"]
+    best = {arm: min(times[arm]) for arm in arms}
+    numpy_s = best["numpy"]
 
     print_header(
         "Perf — replay kernel tiers (evaluate_many, interleaved A/B)",
-        "bit-identical tiers; acceptance: best tier >= 1.5x over the PR-5 path",
+        "bit-identical tiers; acceptance: compiled >= 1.5x over numpy "
+        "and over its per-chunk fallback",
     )
-    for tier in tiers:
-        speedup = analytic_s / best[tier]
-        chunks_per_sec = n_chunks / best[tier]
-        replays_per_sec = n_replays / best[tier]
+    for arm in arms:
+        speedup = numpy_s / best[arm]
+        chunks_per_sec = n_chunks / best[arm]
+        replays_per_sec = n_replays / best[arm]
         print(
-            f"  {tier:9s}: {best[tier] * 1e3:6.0f} ms "
-            f"({speedup:.2f}x vs analytic, {chunks_per_sec:,.0f} chunks/sec, "
+            f"  {arm:9s}: {best[arm] * 1e3:6.0f} ms "
+            f"({speedup:.2f}x vs numpy, {chunks_per_sec:,.0f} chunks/sec, "
             f"{replays_per_sec:.0f} replays/sec)"
         )
         benchmark.extra_info.update(
             {
-                f"{tier}_evaluate_many_ms": best[tier] * 1e3,
-                f"{tier}_chunks_per_sec": chunks_per_sec,
-                f"{tier}_batch_replays_per_sec": replays_per_sec,
-                f"{tier}_kernel_speedup": speedup,
+                f"{arm}_evaluate_many_ms": best[arm] * 1e3,
+                f"{arm}_chunks_per_sec": chunks_per_sec,
+                f"{arm}_batch_replays_per_sec": replays_per_sec,
+                f"{arm}_kernel_speedup": speedup,
             }
         )
     benchmark.extra_info.update(
-        n_replays=n_replays, n_chunks=n_chunks, kernel_tiers=",".join(tiers)
+        n_replays=n_replays, n_chunks=n_chunks, kernel_tiers=",".join(arms)
     )
 
-    best_speedup = analytic_s / min(best.values())
     ok = shape_check(
         "every query answered for every trace",
         all(len(r.per_trace) == len(corpus) for r in results),
     )
-    ok &= shape_check(
-        "best kernel tier >= 1.5x over the analytic path", best_speedup >= 1.5
-    )
-    if "compiled" in best and "fused" in best:
-        fused_vs_compiled = best["compiled"] / best["fused"]
-        print(
-            f"  fused vs compiled: {fused_vs_compiled:.2f}x "
-            f"(PR-8 acceptance: >= 1.5x)"
-        )
-        benchmark.extra_info.update(fused_vs_compiled_speedup=fused_vs_compiled)
+    if "compiled" in best:
         ok &= shape_check(
-            "fused tier >= 1.5x over the compiled tier",
-            fused_vs_compiled >= 1.5,
+            "compiled tier >= 1.5x over the numpy tier",
+            numpy_s / best["compiled"] >= 1.5,
+        )
+    if "per_chunk" in best:
+        session_vs_chunk = best["per_chunk"] / best["compiled"]
+        print(f"  session kernel vs per-chunk fallback: {session_vs_chunk:.2f}x")
+        benchmark.extra_info.update(
+            compiled_vs_per_chunk_speedup=session_vs_chunk
+        )
+        ok &= shape_check(
+            "session kernel >= 1.5x over the per-chunk compiled loop",
+            session_vs_chunk >= 1.5,
         )
     assert ok
 
@@ -732,7 +748,7 @@ def test_perf_prepare_corpus(benchmark):
             paper_veritas_config(),
             n_samples=N_SAMPLES,
             seed=ENGINE_SEED,
-            kernel="fused",
+            kernel="compiled",
             abduction_kernel=tier,
         )
         for tier in ABDUCTION_TIERS
@@ -804,8 +820,12 @@ def test_perf_fault_overhead(benchmark):
     and threads a FaultLog through the call tree; on a healthy corpus that
     bookkeeping must be invisible.  The same bench-scale ``evaluate_many``
     sweep runs under ``"raise"`` (the historical fail-stop path) and
-    ``"skip"``, interleaved min-of-5 so container CPU noise cancels out of
-    the ratio.  Acceptance: < 2% overhead.
+    ``"skip"`` in 25 back-to-back pairs of 5-sweep samples (alternating
+    which goes first); the overhead is the median of the per-pair ratios,
+    so container CPU noise cancels out of it.  On the compiled default
+    one sweep takes only ~7 ms and its times are bimodal, so a ratio of
+    per-arm minima swings by +-20% whenever one arm alone catches a fast
+    run.  Acceptance: < 2% overhead.
     """
     from repro import change_abr, paper_corpus
 
@@ -827,18 +847,20 @@ def test_perf_fault_overhead(benchmark):
         engine.evaluate_many(prepared, settings_b)
 
     times = {policy: [] for policy in engines}
-    for _ in range(5):
-        for policy, engine in engines.items():
+    for i in range(25):
+        for policy in ("raise", "skip") if i % 2 == 0 else ("skip", "raise"):
             start = time.perf_counter()
-            results = engine.evaluate_many(prepared, settings_b)
-            times[policy].append(time.perf_counter() - start)
+            for _ in range(5):
+                results = engines[policy].evaluate_many(prepared, settings_b)
+            times[policy].append((time.perf_counter() - start) / 5)
     run_once(
         benchmark, lambda: engines["skip"].evaluate_many(prepared, settings_b)
     )
 
     raise_s = min(times["raise"])
     skip_s = min(times["skip"])
-    overhead_pct = (skip_s / raise_s - 1.0) * 100.0
+    ratios = [b / a for a, b in zip(times["raise"], times["skip"])]
+    overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
 
     print_header(
         "Perf — fault-isolation overhead (evaluate_many, clean corpus)",
@@ -846,7 +868,8 @@ def test_perf_fault_overhead(benchmark):
     )
     print(
         f"  on_error='raise' {raise_s * 1e3:.0f} ms vs 'skip' "
-        f"{skip_s * 1e3:.0f} ms ({overhead_pct:+.2f}% overhead)"
+        f"{skip_s * 1e3:.0f} ms (min; median paired overhead "
+        f"{overhead_pct:+.2f}%)"
     )
     benchmark.extra_info.update(
         raise_evaluate_many_ms=raise_s * 1e3,

@@ -1,6 +1,6 @@
 """Allocation-discipline rules (ALLOC3xx).
 
-The scratch tier exists so per-chunk replay runs allocation-free: every
+The numpy replay tier exists so per-chunk replay runs allocation-free: every
 array a hot function touches is carried in a reusable scratch struct.  A
 stray ``np.zeros`` inside one of those functions reintroduces per-call
 allocator traffic and GC pressure — exactly the overhead the tier was

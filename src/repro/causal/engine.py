@@ -383,24 +383,30 @@ class CounterfactualEngine:
     serial path automatically, so ``use_batch=False`` is only an escape
     hatch for benchmarking the serial engine.
 
-    ``kernel`` selects the replay kernel tier for every batch session the
-    engine runs (see ``repro.tcp.connection.KERNEL_TIERS``; ``None``
-    picks the default).  All tiers are bit-identical; ``"compiled"``
-    batches each chunk download into one compiled call and ``"fused"``
-    additionally runs whole sessions — decisions included — in a single
-    call for the shipped BBA/BOLA/RobustMPC algorithms.
+    ``kernel`` and ``abduction_kernel`` select the replay and abduction
+    kernel tiers from one vocabulary, ``"reference"`` / ``"numpy"`` /
+    ``"compiled"`` (``repro.tcp.connection.KERNEL_TIERS`` and
+    ``repro.core.abduction.ABDUCTION_TIERS``).  ``None``, the default
+    for both, picks ``"compiled"``:
 
-    ``abduction_kernel`` independently selects the abduction tier for the
-    batched solve/sampling paths (see
-    ``repro.core.abduction.ABDUCTION_TIERS``; ``None`` picks the NumPy
-    default, which is bit-identical to the scalar reference).
-    ``"compiled"`` runs each same-length stack's emission build,
-    forward-backward, Viterbi and FFBS as single compiled-kernel calls —
-    Viterbi paths and sampled traces stay bit-identical, float posteriors
-    are within ``rtol=1e-12`` — and degrades to NumPy with a
-    once-per-process warning when no compiled backend exists.  Checkpoint
-    fingerprints do not include the tier: a corpus prepared on one tier
-    reloads cleanly on another.
+    * replay runs each batch session — downloads, BBA/BOLA/RobustMPC
+      decisions and buffer accounting — as one compiled call, with a
+      per-chunk compiled download loop for sessions the session kernel
+      cannot run (custom ABRs, plain MPC).  Every replay tier is
+      bit-identical to the scalar reference;
+    * abduction runs each same-length stack's emission build,
+      forward-backward, Viterbi and FFBS as single compiled-kernel calls.
+      Viterbi paths and sampled traces stay bit-identical, float
+      posteriors are within ``rtol=1e-12``; ``"numpy"`` is bit-identical
+      to ``"reference"``.
+
+    When no compiled backend (numba or cc+cffi) exists, both stages run
+    their ``"numpy"`` tier: silently for the default, which then resolves
+    to ``"numpy"`` (``kernel`` / ``abduction_kernel`` report the tier that
+    really runs), and with a once-per-process ``RuntimeWarning`` when
+    ``"compiled"`` was named.
+    Checkpoint fingerprints do not include the tier: a corpus prepared
+    on one tier reloads cleanly on another.
 
     ``on_error`` sets the engine-wide fault policy (overridable per call):
     ``"raise"`` fail-stops (the default), ``"degrade"`` retries failing
@@ -434,14 +440,12 @@ class CounterfactualEngine:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if kernel is not None:
-            resolve_kernel(kernel)  # fail fast on unknown tier names
         self.abduction = VeritasAbduction(veritas_config, kernel=abduction_kernel)
         self.abduction_kernel = self.abduction.kernel
         self.n_samples = n_samples
         self.n_workers = n_workers
         self.use_batch = use_batch
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         self.on_error = resolve_on_error(on_error)
         self.supervisor = SupervisorConfig(
             timeout_s=shard_timeout_s,

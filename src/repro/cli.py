@@ -115,9 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         # Generated from the tier registry so a new tier cannot drift
         # out of this message (results are bit-identical on every tier).
         help="replay kernel tier for batch preparation/replay: "
-             f"{', '.join(KERNEL_TIERS)} (default: the library default, "
-             f"currently \"{DEFAULT_KERNEL}\"; compiled/fused tiers fall "
-             "back to slower tiers when no compiled backend is available)",
+             f"{', '.join(KERNEL_TIERS)} (default: \"{DEFAULT_KERNEL}\", "
+             "whole sessions in one compiled call; every tier is "
+             "bit-identical, and compiled runs as numpy when no compiled "
+             "backend is available)",
     )
     cf.add_argument(
         "--abduction-kernel",
@@ -126,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         # Generated from the abduction tier registry, like --kernel above.
         help="abduction kernel tier for batched solve/sampling: "
              f"{', '.join(ABDUCTION_TIERS)} (default: "
-             f"\"{DEFAULT_ABDUCTION_KERNEL}\", bit-identical to the scalar "
-             "reference; \"compiled\" keeps integer outputs bit-identical "
-             "with float posteriors within rtol=1e-12 and falls back to "
-             "numpy when no compiled backend is available)",
+             f"\"{DEFAULT_ABDUCTION_KERNEL}\", integer outputs bit-identical "
+             "to the scalar reference and float posteriors within "
+             "rtol=1e-12; numpy is bit-identical; compiled runs as numpy "
+             "when no compiled backend is available)",
     )
     cf.add_argument(
         "--no-batch", action="store_true",

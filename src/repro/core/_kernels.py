@@ -38,14 +38,14 @@ adds, first-maximum argmax and sequential counting, reproduced op for
 op.  Float posteriors (emissions, gamma/xi, log-likelihoods) agree to a
 documented ``rtol=1e-12``: NumPy's pairwise row sums, BLAS dot products
 and SIMD ``exp``/``log1p`` accumulate in a different (equally valid)
-order than the sequential scalar loops here.  The NumPy tier remains the
-default and stays bit-identical to the retained scalar reference.
+order than the sequential scalar loops here.  This is the default
+abduction tier; the NumPy tier stays bit-identical to the retained
+scalar reference.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -63,7 +63,7 @@ __all__ = [
     "available",
     "backend",
     "use_kernel",
-    "warn_fallback",
+    "FALLBACK",
     "emission_log_probs",
     "forward_backward_stack",
     "viterbi_stack",
@@ -785,29 +785,8 @@ def use_kernel() -> bool:
     return available()
 
 
-_FALLBACK_WARNED = False
-
-
-def warn_fallback() -> None:
-    """Warn (once per process) that the compiled abduction tier degraded.
-
-    The degrade itself is by design — results on the NumPy tier are
-    bit-identical to the scalar reference — but operators asking for the
-    compiled tier should see the effective tier in their logs.  Reset
-    ``_FALLBACK_WARNED`` in tests to re-arm the warning.
-    """
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    warnings.warn(
-        'abduction kernel "compiled" requested but no compiled backend '
-        '(numba or cc+cffi) is available; falling back to the "numpy" '
-        "tier (bit-identical to the scalar reference, reduced "
-        "throughput). This warning is emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+FALLBACK = ('abduction kernel "compiled"', "numpy")
+"""``warn_fallback`` arguments for a degraded compiled abduction request."""
 
 
 # ----------------------------------------------------------------------

@@ -18,19 +18,20 @@ Typical use::
 
 Abduction kernel tiers (:data:`ABDUCTION_TIERS`), selected per engine via
 ``VeritasAbduction(config, kernel=...)`` / the CLI ``--abduction-kernel``
-flag, mirroring the replay ``KERNEL_TIERS`` registry:
+flag; the names match the replay ``KERNEL_TIERS`` registry:
 
 * ``"reference"`` — one scalar :meth:`VeritasAbduction.solve` per log;
   the retained golden path.
-* ``"numpy"`` (default) — the corpus-batched stacked recursions;
-  bit-identical to ``"reference"``.
-* ``"compiled"`` — the stacked hot loops (emission build,
+* ``"numpy"`` — the corpus-batched stacked recursions; bit-identical to
+  ``"reference"``.
+* ``"compiled"`` (default) — the stacked hot loops (emission build,
   forward-backward, Viterbi, FFBS) each run as one
   :mod:`repro.core._kernels` call per same-length stack (numba or
   cc+cffi backend).  Viterbi paths and FFBS samples stay bit-identical;
   float posteriors are within ``rtol=1e-12``.  Without a compiled
-  backend the tier degrades to ``"numpy"`` with a once-per-process
-  :class:`RuntimeWarning`.
+  backend the default resolves to ``"numpy"`` silently
+  (:func:`resolve_abduction_kernel`); a caller who named ``"compiled"``
+  runs as ``"numpy"`` with a once-per-process :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ import numpy as np
 
 from ..net.trace import PiecewiseConstantTrace
 from ..player.logs import SessionLog
+from ..util.compiled import warn_fallback
 from ..util.rng import SeedLike, ensure_rng
+from . import _kernels
 from .ehmm import EHMMProblem, build_problem, build_problems_batch
 from .emission import EmissionModel, naive_emission, tcp_estimator_emission
 from .forward_backward import (
@@ -77,24 +80,42 @@ __all__ = [
 ABDUCTION_TIERS = ("reference", "numpy", "compiled")
 """Abduction kernel tiers, slowest first (see the module docstring)."""
 
-DEFAULT_ABDUCTION_KERNEL = "numpy"
+DEFAULT_ABDUCTION_KERNEL = "compiled"
 
 
 def resolve_abduction_kernel(kernel: "str | None") -> str:
-    """Validate an abduction tier name (``None`` means the default).
+    """Validate an abduction tier name; ``None`` picks the effective default.
 
-    Backend availability is *not* checked here: an unavailable compiled
-    backend degrades at use time with a once-per-process warning, so one
-    config works across machines with and without a toolchain.
+    The default is ``"compiled"`` when a compiled backend is live and
+    ``"numpy"`` otherwise, so the default degrades silently and reports
+    the tier it really runs.  A caller naming ``"compiled"`` on a machine
+    without a backend keeps that name and degrades at use time with a
+    once-per-process warning.
     """
     if kernel is None:
-        return DEFAULT_ABDUCTION_KERNEL
+        return DEFAULT_ABDUCTION_KERNEL if _kernels.available() else "numpy"
     if kernel not in ABDUCTION_TIERS:
         raise ValueError(
             f"unknown abduction kernel {kernel!r}; "
             f"available: {list(ABDUCTION_TIERS)}"
         )
     return kernel
+
+
+def _stack_kernel(kernel: str) -> "str | None":
+    """The ``kernel=`` the stacked helpers get on abduction tier ``kernel``.
+
+    ``None`` selects their NumPy path.  A ``"compiled"`` request without a
+    live backend (only an explicit one gets here, see
+    :func:`resolve_abduction_kernel`) runs as NumPy and warns once.
+    """
+    if kernel != "compiled":
+        return None
+    if _kernels.use_kernel():
+        return "compiled"
+    warn_fallback(*_kernels.FALLBACK)
+    return None
+
 
 # Sessions per stacked inference block.  Bounds the transient
 # (T, N-1, K, K) tensors (stacked powers / pairwise posteriors) to
@@ -236,8 +257,9 @@ class VeritasAbduction:
     """End-to-end abduction engine (Fig. 6's "Veritas" box).
 
     ``kernel`` picks the :data:`ABDUCTION_TIERS` entry the batched solve
-    path runs on (``None`` = the NumPy default); scalar :meth:`solve`
-    always takes the reference path regardless.
+    path runs on (``None`` = the compiled default, see the module
+    docstring); scalar :meth:`solve` always takes the reference path
+    regardless.
     """
 
     def __init__(
@@ -345,7 +367,7 @@ class VeritasAbduction:
                 self.solve(log, duration)
                 for log, duration in zip(logs, durations)
             ]
-        stack_kernel = self.kernel if self.kernel == "compiled" else None
+        stack_kernel = _stack_kernel(self.kernel)
 
         problems = build_problems_batch(
             logs,
@@ -408,6 +430,7 @@ def sample_traces_batch(
     backward pass: ``"compiled"`` runs each stack through the
     :mod:`repro.core._kernels` FFBS (samples stay bit-identical given the
     same posteriors); ``"reference"`` samples each posterior scalar.
+    ``None`` picks the compiled default, which degrades to NumPy silently.
     """
     kernel = resolve_abduction_kernel(kernel)
     posteriors = list(posteriors)
@@ -425,7 +448,7 @@ def sample_traces_batch(
         for i, posterior in enumerate(posteriors):
             out[i] = posterior.sample_traces(count, seed=seeds[i])
         return out
-    stack_kernel = kernel if kernel == "compiled" else None
+    stack_kernel = _stack_kernel(kernel)
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, posterior in enumerate(posteriors):
         key = (posterior.problem.n_chunks, posterior.problem.n_states)

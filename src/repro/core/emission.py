@@ -27,6 +27,7 @@ from ..tcp.estimator import (
     estimate_throughput_grid_batch,
 )
 from ..tcp.state import TCPStateSnapshot
+from ..util.compiled import warn_fallback
 from . import _kernels
 from .grid import CapacityGrid
 
@@ -234,7 +235,7 @@ class EmissionModel:
 
         if kernel == "compiled" and self.estimator is tcp_estimator_emission:
             if not _kernels.use_kernel():
-                _kernels.warn_fallback()
+                warn_fallback(*_kernels.FALLBACK)
             else:
                 sizes_arr = np.asarray(sizes, dtype=float)
                 if np.any(sizes_arr <= 0):

@@ -16,8 +16,8 @@ capacity state cannot underflow the scaled recursion to 0/0.
 Abduction kernel tiers: :func:`forward_backward_batch` accepts
 ``kernel="compiled"`` to run the whole stacked recursion (including the
 pairwise-posterior build) in one :mod:`repro.core._kernels` call —
-results within ``rtol=1e-12`` of the NumPy tier (the default, which is
-itself bit-identical to :func:`forward_backward_reference`).  When no
+results within ``rtol=1e-12`` of the NumPy tier (what ``kernel=None``
+runs here, itself bit-identical to :func:`forward_backward_reference`).  When no
 compiled backend is available the request degrades to the NumPy tier
 with a once-per-process :class:`RuntimeWarning`.
 """
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util.compiled import warn_fallback
 from . import _kernels
 from .transitions import TransitionModel
 
@@ -253,7 +254,7 @@ def forward_backward_batch(
 
     if kernel == "compiled":
         if not _kernels.use_kernel():
-            _kernels.warn_fallback()
+            warn_fallback(*_kernels.FALLBACK)
         elif n_chunks > 1:
             stack, slots = unique_power_stack(transitions, gaps[:, 1:])
             gamma, xi, log_likelihoods = _kernels.forward_backward_stack(

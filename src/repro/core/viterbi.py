@@ -9,9 +9,9 @@ both chunks then share the same hidden capacity window, as required.
 Abduction kernel tiers: :func:`viterbi_path_batch` accepts
 ``kernel="compiled"`` to extract every stacked session's path in one
 :mod:`repro.core._kernels` call.  Viterbi is pure adds plus first-maximum
-argmax, so the compiled paths are bit-identical to the NumPy tier (the
-default); without a compiled backend the request degrades to NumPy with a
-once-per-process :class:`RuntimeWarning`.
+argmax, so the compiled paths are bit-identical to the NumPy tier (what
+``kernel=None`` runs here); without a compiled backend the request
+degrades to NumPy with a once-per-process :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..util.compiled import warn_fallback
 from . import _kernels
 from .forward_backward import check_batch_inputs, unique_power_stack
 from .transitions import TransitionModel
@@ -138,7 +139,7 @@ def viterbi_path_batch(
 
     if kernel == "compiled":
         if not _kernels.use_kernel():
-            _kernels.warn_fallback()
+            warn_fallback(*_kernels.FALLBACK)
         elif n_chunks > 1:
             log_stack, slots = unique_power_stack(
                 transitions, gaps[:, 1:], log=True

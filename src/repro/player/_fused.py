@@ -1,18 +1,20 @@
-"""Fused session kernel (the ``kernel="fused"`` tier).
+"""Fused session kernel (the ``kernel="compiled"`` replay tier).
 
 One call to :func:`run_session` advances a whole lane batch through an
 *entire* streaming session — per-chunk buffer/stall accounting, the ABR
 decision (BBA / BOLA / RobustMPC, including the harmonic-mean predictor's
 ring-buffer state), the TCP chunk download and every
 :class:`~repro.player.logs.SessionLogBatch` column write — with no
-per-chunk Python re-entry at all.  PR 6's compiled tier batched the
-*download* into one call per chunk; this tier batches the remaining
-chunk → decision → chunk loop into one call per session.
+per-chunk Python re-entry at all.  Sessions it cannot run fall back to
+the per-chunk loop with one :mod:`repro.tcp._compiled` download call per
+chunk; this kernel batches the whole chunk → decision → chunk loop into
+one call per session.
 
-The kernel is the same scalar code the per-chunk tiers run:
+The kernel is the same scalar code the per-chunk loop runs:
 
 * the per-lane download core is :func:`repro.tcp._compiled._download_one`
-  (Python mirror) / ``download_one`` (C), shared with the compiled tier;
+  (Python mirror) / ``download_one`` (C), shared with the per-chunk
+  compiled download;
 * the per-lane decision cores are ``_bba_one`` / ``_bola_one`` /
   ``_mpc_obs_pred_one`` / ``_mpc_decide_one`` from
   :mod:`repro.abr._decisions` (Python) and its ``C_HELPERS`` fragment (C);
@@ -26,13 +28,13 @@ the Python mirror when numba is importable, else a cc + cffi build of the
 concatenated C fragments (compiled without fast-math / FMA contraction),
 else the pure-Python mirror remains importable for parity tests via
 ``FORCE_PYTHON``; :func:`available` is False without a real backend and
-``kernel="fused"`` then degrades (see ``repro.tcp.connection``).
+sessions then take the per-chunk loop (see ``repro.tcp.connection``).
 
 Lanes are fully independent inside a session (the RTT estimator state is
 a precomputed shared sequence), so the kernel loops lane-outer /
 chunk-inner; element-wise results are order-independent and stay
 bit-identical to the lockstep per-chunk loops (documented cross-platform
-tolerance ``rtol=1e-12``, matching the compiled tier).
+tolerance ``rtol=1e-12``, matching the per-chunk compiled download).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 FORCE_PYTHON = False
-"""Test hook: route the fused tier through the Python mirror."""
+"""Test hook: route the fused session kernel through the Python mirror."""
 
 
 @_maybe_jit
@@ -409,11 +411,12 @@ def backend() -> str:
 
 
 def available() -> bool:
-    """Whether the fused tier can serve ``kernel="fused"`` requests.
+    """Whether compiled-tier sessions can run in this kernel.
 
     ``FORCE_PYTHON`` counts as available so parity tests can drive the
     mirror end to end; without it the pure-Python mirror is a per-lane
-    per-chunk interpreter loop, so the tier degrades instead.
+    per-chunk interpreter loop, so sessions take the per-chunk loop
+    instead.
     """
     if FORCE_PYTHON:
         return True

@@ -1,6 +1,8 @@
-"""Optional compiled replay kernel (the ``kernel="compiled"`` tier).
+"""Compiled per-chunk download kernel (part of the ``kernel="compiled"`` tier).
 
-One call to :func:`download_chunk` advances a whole lane batch through one
+The compiled replay tier runs whole sessions in :mod:`repro.player._fused`;
+sessions that kernel cannot run fall back to a per-chunk loop whose
+downloads come from here.  One call to :func:`download_chunk` advances a whole lane batch through one
 chunk download — slow-start-restart decay, the per-RTT window-limited
 round loop and the fluid drain — as straight-line scalar code per lane,
 with no NumPy ufunc dispatch at all.  The function is written as plain
@@ -25,7 +27,7 @@ Feature detection:
 * a backend is importable/buildable -> ``available()`` is True and
   ``BatchTCPConnection(kernel="compiled")`` runs it;
 * no backend -> ``BatchTCPConnection(kernel="compiled")`` falls back to
-  the scratch tier (Tier 1).  The pure-Python mirror remains importable
+  the ``"numpy"`` tier.  The pure-Python mirror remains importable
   so the parity suite can pin the kernel's logic bit-for-bit against the
   reference implementation even on machines without any toolchain, and
   tests may set ``FORCE_PYTHON = True`` to drive the compiled code path
@@ -501,7 +503,10 @@ def backend() -> str:
 
 
 def available() -> bool:
-    """Whether the compiled tier can serve ``kernel="compiled"`` requests."""
+    """Whether the compiled tier can serve ``kernel="compiled"`` requests.
+
+    ``FORCE_PYTHON`` counts as available so parity tests can drive the
+    mirror end to end."""
     if FORCE_PYTHON:
         return True
     if HAVE_NUMBA:  # pragma: no cover - exercised only when numba is installed

@@ -19,52 +19,42 @@ This produces exactly the observable biases the paper documents: small
 chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
-Five kernel tiers implement the replay, selected by the ``kernel=``
-argument (``None`` picks the module-level ``DEFAULT_KERNEL``):
+Three kernel tiers implement the replay, selected by the ``kernel=``
+argument (``None`` picks the module-level ``DEFAULT_KERNEL``, the
+compiled tier); the names match the abduction tiers
+(:data:`repro.core.abduction.ABDUCTION_TIERS`):
 
 * ``"reference"`` — the per-RTT scalar ``while`` loop, the golden parity
-  target every other tier is pinned against;
-* ``"analytic"`` — each constant-bandwidth trace interval resolved in
+  target every other tier is pinned against.  A batch connection runs it
+  lane by lane.
+* ``"numpy"`` — the batched analytic pass over preallocated per-batch
+  scratch buffers.  Each constant-bandwidth trace interval resolves in
   closed form: the slow-start/congestion-avoidance round schedule is
-  precomputed once per ``(cwnd, ssthresh)`` (the same round-schedule trick
-  the Algorithm-4 estimator uses) and the rounds-until-pipe-full /
-  rounds-until-data-exhausted within the interval reduce to bisections
-  over it, so a download costs O(intervals touched) instead of O(rounds);
-* ``"scratch"`` — **Tier 1, the default**: the batched analytic pass
-  rewritten over preallocated per-batch scratch buffers.  Every
+  precomputed once per ``(cwnd, ssthresh)`` (the same round-schedule
+  trick the Algorithm-4 estimator uses), so the rounds until the pipe
+  fills or the data runs out reduce to bisections over it.  Every
   steady-state chunk runs through ``out=``/in-place ufuncs with zero new
-  array allocations (``tests/test_dispatch_budget.py`` pins this), the
-  slow-start-restart decay runs as a masked full-width loop, and the
-  small-lane scalar fallbacks (``_VECTOR_ROUNDS_MIN``, the <8-lane
-  bisect cutoff in :meth:`TraceBatch.time_to_transfer_batch`) are
-  absorbed into the batch path so cold/ragged partitions never drop to
-  per-lane Python.  Scalar ``TCPConnection`` has no batch to amortise
-  over, so ``"scratch"`` (and ``"compiled"``) map to the analytic kernel
+  array allocations (``tests/test_dispatch_budget.py`` pins this).  A
+  scalar ``TCPConnection`` has no batch to amortise over, so
+  ``"numpy"`` and ``"compiled"`` both run the scalar analytic kernel
   there.
-* ``"compiled"`` — **Tier 2, optional**: a compiled kernel
-  (:mod:`repro.tcp._compiled`) advancing a whole lane batch through one
-  chunk in a single call with no per-lane NumPy dispatch at all.  Two
-  backends are feature-detected at first use: a numba-njit build of the
-  Python mirror when numba is importable, else a cc + cffi build of a
-  line-for-line C transcription (compiled once with FMA contraction and
-  fast-math disabled, cached on disk).  When neither backend is
-  available the tier falls back to ``"scratch"`` with a once-per-process
-  ``RuntimeWarning`` (``BatchTCPConnection._tier`` records the effective
-  tier).
-* ``"fused"`` — **Tier 3, optional**: the whole (lane-batch × session)
+* ``"compiled"`` — **the default**: the whole (lane-batch × session)
   chunk → decision → chunk loop in one compiled call
   (:mod:`repro.player._fused`): download, BBA/BOLA/RobustMPC decision
   (including the harmonic-mean predictor's ring-buffer state, via the
   decision kernels in :mod:`repro.abr._decisions`), buffer/stall
-  accounting and the session-log column writes, with zero per-chunk
-  Python re-entry.  Same backend detection as the compiled tier
-  (numba njit, else cc + cffi, built from the same scalar helper
-  fragments).  Sessions whose ABR mix cannot run in-kernel (custom
-  algorithms, the per-lane scalar fallback, plain non-robust MPC, QoE
-  tables over budget) transparently use the per-chunk loop on this
-  connection — ``BatchStreamingSession`` decides per session — and when
-  no backend is available the tier degrades to ``"compiled"`` (or
-  ``"scratch"``) with a once-per-process ``RuntimeWarning``.
+  accounting and the session-log column writes.  Sessions whose ABR mix
+  cannot run in-kernel (custom algorithms, the per-lane scalar
+  fallback, plain non-robust MPC, QoE tables over budget) keep the
+  per-chunk loop, with each chunk's whole-batch download as one call
+  into :mod:`repro.tcp._compiled`.  Backends are feature-detected at
+  first use: numba-njit builds of the Python mirrors when numba is
+  importable, else cc + cffi builds of line-for-line C transcriptions
+  (compiled once with FMA contraction and fast-math disabled, cached on
+  disk).  With neither, the default resolves to ``"numpy"`` silently
+  (:func:`resolve_kernel`); a caller who named ``"compiled"`` runs as
+  ``"numpy"`` with a once-per-process ``RuntimeWarning``
+  (``BatchTCPConnection._tier`` records the effective tier).
 
 All tiers evaluate the same float predicates in the same order, so they
 produce bit-identical :class:`DownloadResult`s / batch columns and session
@@ -77,7 +67,6 @@ bit-identical in practice on every backend we test).  Unknown kernel names raise
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -88,6 +77,7 @@ from ..net.trace import (
     PiecewiseConstantTrace,
     TraceBatch,
 )
+from ..util.compiled import warn_fallback
 from ..util.units import mbps_to_bytes_per_sec, throughput_mbps
 from . import _compiled
 from .constants import (
@@ -109,72 +99,30 @@ __all__ = [
     "resolve_kernel",
 ]
 
-DEFAULT_KERNEL = "scratch"
+DEFAULT_KERNEL = "compiled"
 """Kernel used when a connection is constructed without an explicit one."""
 
-KERNEL_TIERS = ("reference", "analytic", "scratch", "compiled", "fused")
+KERNEL_TIERS = ("reference", "numpy", "compiled")
 """All selectable kernel tiers, slowest (golden reference) first."""
-
-_KERNELS = KERNEL_TIERS  # backwards-compatible alias
-
-
-_COMPILED_FALLBACK_WARNED = False
-_FUSED_FALLBACK_WARNED = False
-
-
-def _warn_compiled_fallback() -> None:
-    """Warn (once per process) that ``kernel="compiled"`` degraded.
-
-    The degrade itself is by design — the parity contract is unchanged on
-    the scratch tier — but operators asking for the compiled tier should
-    see the effective tier in their logs instead of having to poke
-    ``BatchTCPConnection._tier``.  Reset the module flag in tests to
-    re-arm the warning.
-    """
-    global _COMPILED_FALLBACK_WARNED
-    if _COMPILED_FALLBACK_WARNED:
-        return
-    _COMPILED_FALLBACK_WARNED = True
-    warnings.warn(
-        'kernel="compiled" requested but no compiled backend (numba or '
-        "cc+cffi) is available; falling back to the \"scratch\" tier "
-        "(bit-identical results, reduced throughput). This warning is "
-        "emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _warn_fused_fallback(effective: str) -> None:
-    """Warn (once per process) that ``kernel="fused"`` degraded."""
-    global _FUSED_FALLBACK_WARNED
-    if _FUSED_FALLBACK_WARNED:
-        return
-    _FUSED_FALLBACK_WARNED = True
-    warnings.warn(
-        'kernel="fused" requested but no compiled backend (numba or '
-        f'cc+cffi) is available; falling back to the "{effective}" tier '
-        "(bit-identical results, reduced throughput). This warning is "
-        "emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def resolve_kernel(kernel: str | None) -> str:
     """Resolve ``kernel`` against the tier registry or raise ``ValueError``.
 
-    ``None`` picks the module-level ``DEFAULT_KERNEL``.  All construction
-    paths (scalar and batch connections, sessions, the engine, the CLI)
-    funnel through here so an unknown name fails loudly with the list of
-    available tiers instead of silently running a default.
+    ``None`` picks the effective default: ``DEFAULT_KERNEL`` when a
+    compiled backend is live, ``"numpy"`` otherwise (the default degrades
+    silently).  All construction paths (scalar and batch connections,
+    sessions, the engine, the CLI) funnel through here so an unknown name
+    fails loudly with the list of available tiers instead of silently
+    running a default.
     """
-    resolved = DEFAULT_KERNEL if kernel is None else kernel
-    if resolved not in KERNEL_TIERS:
+    if kernel is None:
+        return DEFAULT_KERNEL if _compiled.available() else "numpy"
+    if kernel not in KERNEL_TIERS:
         raise ValueError(
-            f"unknown kernel {resolved!r}; available tiers: {KERNEL_TIERS}"
+            f"unknown kernel {kernel!r}; available tiers: {KERNEL_TIERS}"
         )
-    return resolved
+    return kernel
 
 
 def _grow_window(cwnd: int, ssthresh: int) -> int:
@@ -522,10 +470,10 @@ class TCPConnection:
     kernel:
         A tier from ``KERNEL_TIERS``; ``None`` picks the module-level
         ``DEFAULT_KERNEL``.  All tiers produce bit-identical results —
-        the reference exists as the golden parity target.  The batch-only
-        tiers (``"scratch"``, ``"compiled"``) have nothing to amortise
-        over on a single scalar connection, so they run the analytic
-        kernel here.
+        the reference exists as the golden parity target.  The batch
+        tiers (``"numpy"``, ``"compiled"``) have nothing to amortise over
+        on a single scalar connection, so they run the analytic kernel
+        here.
     """
 
     def __init__(
@@ -655,55 +603,6 @@ def _fluid_grow_batch(
     )
 
 
-def _batch_slow_start_restart(
-    cwnd: np.ndarray,
-    ssthresh: np.ndarray,
-    idle_s: np.ndarray,
-    rto_s: float,
-    restart_cwnd: int = INIT_CWND_SEGMENTS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`~repro.tcp.state.apply_slow_start_restart`.
-
-    Element-wise identical to the scalar halving loop: every lane takes the
-    same decay iterations on the same floats.
-    """
-    triggered = (idle_s > rto_s) & (cwnd > restart_cwnd)
-    hits = triggered.nonzero()[0]
-    if not hits.size:
-        # No lane restarts: the caller never mutates state arrays in
-        # place, so the inputs can be reused as-is.
-        return cwnd, ssthresh
-    new_cwnd = cwnd.copy()
-    new_ssthresh = ssthresh.copy()
-    if hits.size < 16:
-        # Few restarting lanes: the scalar halving loop is cheaper than
-        # array dispatch (and trivially identical — it IS the scalar path).
-        for j in hits:
-            decayed, raised, _ = apply_slow_start_restart(
-                int(cwnd[j]), int(ssthresh[j]), float(idle_s[j]), rto_s
-            )
-            new_cwnd[j] = decayed
-            new_ssthresh[j] = raised
-        return new_cwnd, new_ssthresh
-    # Decay only the triggered lanes: the halving loop runs on the
-    # compacted subset.
-    remaining = idle_s[hits]
-    decayed = cwnd[hits]
-    active = np.ones(hits.size, dtype=bool)
-    while True:
-        remaining = np.where(active, remaining - rto_s, remaining)
-        decayed = np.where(active, decayed >> 1, decayed)
-        active = active & (remaining > rto_s) & (decayed > restart_cwnd)
-        if not active.any():
-            break
-    new_cwnd[hits] = np.maximum(decayed, restart_cwnd)
-    new_ssthresh[hits] = np.maximum(
-        np.maximum(ssthresh[hits], (new_cwnd[hits] >> 1) + (new_cwnd[hits] >> 2)),
-        2,
-    )
-    return new_cwnd, new_ssthresh
-
-
 @dataclass(frozen=True, slots=True)
 class BatchDownloadResult:
     """Column-oriented outcome of one lockstep chunk download over K lanes.
@@ -726,7 +625,7 @@ class BatchDownloadResult:
 
 
 class _BatchScratch:
-    """Per-batch scratch buffers for the allocation-free kernel tiers."""
+    """Per-batch scratch buffers shared by every batch kernel tier."""
 
     __slots__ = (
         "idle", "t0", "bdp", "fluid", "f3", "rem", "tf",
@@ -746,9 +645,9 @@ class _BatchScratch:
 class _MutableBatchResult:
     """Reusable mutable mirror of :class:`BatchDownloadResult`.
 
-    The scratch/compiled tiers hand the same instance back on every
-    ``download_batch`` call with its columns aliasing per-batch buffers —
-    valid only until the next call; callers copy what they keep.
+    Every tier hands the same instance back on every ``download_batch``
+    call with its columns aliasing per-batch buffers — valid only until
+    the next call; callers copy what they keep.
     """
 
     __slots__ = (
@@ -772,14 +671,11 @@ class BatchTCPConnection:
     the RTT estimator state is shared (all lanes observe the same constant
     RTT, so their ``srtt``/``rto`` sequences are identical).
 
-    Per download, the batch path vectorises the slow-start-restart decay,
-    the interval lookup (one ``searchsorted`` across all lanes against the
-    shared boundary grid) and the round-0 pipe-full test; lanes whose pipe
-    is already full drain through the batched
-    :meth:`~repro.net.trace.TraceBatch.time_to_transfer_batch`, and
-    window-limited lanes fall through to the *same* scalar kernel functions
-    ``TCPConnection`` runs — results are bit-identical to K independent
-    scalar connections under either kernel (see
+    Each tier advances every lane through one chunk per
+    :meth:`download_batch` call: ``"reference"`` runs the scalar golden
+    loop lane by lane, ``"numpy"`` the allocation-free analytic pass over
+    all lanes at once, and ``"compiled"`` one compiled-kernel call.
+    Results are bit-identical to K independent scalar connections (see
     ``tests/test_batch_replay.py``).
     """
 
@@ -796,25 +692,14 @@ class BatchTCPConnection:
         self.batch = batch
         self.rtt_s = rtt_s
         self.kernel = resolved
-        # Effective tier: "compiled" degrades to "scratch" (and "fused"
-        # to "compiled", then "scratch") when no compiled backend (numba
-        # or cc+cffi) is buildable — the parity contract is unchanged
-        # either way, and a once-per-process RuntimeWarning surfaces the
-        # effective tier to operators.
-        if resolved == "fused":
-            from ..player import _fused  # deferred: player imports tcp
-
-            if not _fused.available():
-                effective = "compiled" if _compiled.available() else "scratch"
-                _warn_fused_fallback(effective)
-                resolved = effective
+        # Effective tier: a "compiled" request runs as "numpy" when no
+        # compiled backend (numba or cc+cffi) is buildable.  The parity
+        # contract is unchanged either way.  Only a caller who named the
+        # tier gets here: the default already resolved to "numpy".
         if resolved == "compiled" and not _compiled.available():
-            _warn_compiled_fallback()
-            resolved = "scratch"
+            warn_fallback('kernel="compiled"', "numpy")
+            resolved = "numpy"
         self._tier = resolved
-        self._scalar_run = (
-            _reference_download if resolved == "reference" else _analytic_download
-        )
         n = batch.n_lanes
         self._shared = MutableTCPState(last_send_time_s=start_time_s)
         self._shared.observe_rtt(rtt_s)
@@ -822,19 +707,14 @@ class BatchTCPConnection:
         self._ssthresh = np.full(n, INITIAL_SSTHRESH_SEGMENTS, dtype=np.int64)
         self._last_send = np.full(n, float(start_time_s))
         self._lane_idx = np.arange(n)
-        if self._tier in ("scratch", "compiled", "fused"):
-            self._ws = batch.make_transfer_scratch()
-            self._scratch = _BatchScratch(n)
-            self._result = _MutableBatchResult()
-        if self._tier == "scratch":
-            self._download = self._download_scratch
-        elif self._tier in ("compiled", "fused"):
-            # Per-chunk downloads on a fused connection (the session-level
-            # fallback for in-kernel-ineligible ABR mixes) run the
-            # compiled download kernel.
-            self._download = self._download_compiled
-        else:
-            self._download = self._download_numpy
+        self._ws = batch.make_transfer_scratch()
+        self._scratch = _BatchScratch(n)
+        self._result = _MutableBatchResult()
+        self._download = {
+            "reference": self._download_reference,
+            "numpy": self._download_scratch,
+            "compiled": self._download_compiled,
+        }[resolved]
 
     @property
     def n_lanes(self) -> int:
@@ -846,188 +726,56 @@ class BatchTCPConnection:
         """Download ``size_bytes[k]`` on every lane ``k`` starting at
         ``start_times_s[k]``; advances all K congestion states.
 
-        The scratch/compiled tiers return a reusable mutable result whose
-        columns alias per-batch buffers: copy anything you keep before the
-        next ``download_batch`` call.
+        Returns a reusable mutable result whose columns alias per-batch
+        buffers: copy anything you keep before the next
+        ``download_batch`` call.
         """
         return self._download(size_bytes, start_times_s)
 
-    def _download_numpy(
+    def _download_reference(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
-    ) -> BatchDownloadResult:
-        """The allocating NumPy pass (the analytic/reference tiers)."""
-        shared = self._shared
+    ) -> "_MutableBatchResult":
+        """Lane by lane, exactly what ``TCPConnection(kernel="reference")``
+        runs per download: the scalar restart decay, then the per-RTT
+        golden loop."""
+        b = self._scratch
+        tb = self.batch
         rtt = self.rtt_s
+        shared = self._shared
         starts = np.asarray(start_times_s, dtype=float)
         sizes = np.asarray(size_bytes, dtype=float)
-
-        # The logged tcp_info snapshot (pre-restart state, as in the scalar
-        # path) decomposed into columns + shared scalars.
-        idle = np.maximum(0.0, starts - self._last_send)
         srtt = shared.srtt_s
         min_rtt = shared.min_rtt_s
         rto = shared.rto_s
-        cwnd_pre = self._cwnd
-        ssthresh_pre = self._ssthresh
-
-        cwnd, ssthresh = _batch_slow_start_restart(cwnd_pre, ssthresh_pre, idle, rto)
-
-        # The HTTP request consumes one round trip before payload flows.
-        t0 = starts + rtt
-        tb = self.batch
-        i = tb.interval_indices(t0)
-        bdp_bytes = mbps_to_bytes_per_sec(tb._values2d[self._lane_idx, i]) * rtt
-        pipe_full = (cwnd * MSS_BYTES) >= bdp_bytes
-
-        if pipe_full.all():
-            # Round 0 is already pipe-full on every lane (the common case
-            # once windows have opened): one batched fluid drain, no
-            # masking.  remaining == size exactly (0 segments sent).
-            fluid_s = tb.time_to_transfer_batch(t0, sizes, interval_hint=i)
-            ends = t0 + fluid_s
-            new_cwnd = _fluid_grow_batch(cwnd, fluid_s, rtt)
-        else:
-            ends = np.empty(starts.shape)
-            new_cwnd = np.empty(starts.shape, dtype=np.int64)
-            full = pipe_full.nonzero()[0]
-            if full.size:
-                fluid_s = tb.time_to_transfer_batch(
-                    t0[full], sizes[full], lanes=full, interval_hint=i[full]
-                )
-                ends[full] = t0[full] + fluid_s
-                new_cwnd[full] = _fluid_grow_batch(cwnd[full], fluid_s, rtt)
-            rest = (~pipe_full).nonzero()[0]
-            if rest.size >= self._VECTOR_ROUNDS_MIN:
-                e, c = self._run_rounds_batch(
-                    t0[rest], sizes[rest], cwnd[rest], ssthresh[rest], rest
-                )
-                ends[rest] = e
-                new_cwnd[rest] = c
-            else:
-                # Few window-limited lanes: the scalar kernel's list-mirror
-                # bisections beat lockstep NumPy dispatch (same code path
-                # as TCPConnection — bit-identical by construction).
-                run = self._scalar_run
-                for j in rest:
-                    end, _, grown = run(
-                        tb.lane(int(j)),
-                        rtt,
-                        float(sizes[j]),
-                        float(t0[j]),
-                        int(cwnd[j]),
-                        int(ssthresh[j]),
-                    )
-                    ends[j] = end
-                    new_cwnd[j] = grown
-
-        self._cwnd = new_cwnd
-        self._ssthresh = ssthresh
-        shared.observe_rtt(rtt)
-        self._last_send = ends
-
-        return BatchDownloadResult(
-            start_times_s=starts,
-            end_times_s=ends,
-            size_bytes=sizes,
-            cwnd_segments=cwnd_pre,
-            ssthresh_segments=ssthresh_pre,
-            time_since_last_send_s=idle,
-            srtt_s=srtt if srtt > 0 else 1.0,
-            min_rtt_s=min_rtt if min_rtt != float("inf") else (srtt or 1.0),
-            rto_s=rto,
-        )
-
-    # Below this many window-limited lanes, per-lane scalar kernels beat
-    # the lockstep round loop's fixed NumPy dispatch cost per round.
-    _VECTOR_ROUNDS_MIN = 12
-
-    def _run_rounds_batch(
-        self,
-        t0: np.ndarray,
-        sizes: np.ndarray,
-        cwnd: np.ndarray,
-        ssthresh: np.ndarray,
-        lanes: np.ndarray,
-        force_vector: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep window-limited rounds for the lane subset ``lanes``.
-
-        All arguments are subset-aligned.  Mirrors the reference kernel's
-        per-RTT loop with the round index shared across lanes (every lane
-        enters at round 0, so ``r`` is a scalar); lanes leave the loop as
-        their pipe fills — all such lanes drain through one batched fluid
-        transfer at the end — or as their remaining data fits in the
-        current window.  Element-wise identical to per-lane scalar kernel
-        runs, and used only when the subset is large enough to amortise
-        per-round array dispatch (``_VECTOR_ROUNDS_MIN``).
-        """
-        tb = self.batch
-        rtt = self.rtt_s
-        m = lanes.size
-        ends = np.empty(m)
-        new_cwnd = np.empty(m, dtype=np.int64)
-        # Subset-aligned state: sent / cur_cwnd track the positions in
-        # `active` (indices into the subset).
-        active = np.arange(m)
-        sent = np.zeros(m, dtype=np.int64)
-        cur_cwnd = cwnd
-        fluid_parts = []
-        r = 0
-        while active.size:
-            t = t0[active] + r * rtt
-            i = tb.interval_indices(t)
-            bdp_bytes = mbps_to_bytes_per_sec(tb._values2d[lanes[active], i]) * rtt
-            cwnd_bytes = cur_cwnd * MSS_BYTES
-            remaining = sizes[active] - sent * MSS_BYTES
-            fluid_m = cwnd_bytes >= bdp_bytes
-            data_m = ~fluid_m & (cwnd_bytes >= remaining)
-            if fluid_m.any():
-                # Pipe full: collect for the batched fluid drain.
-                fluid_parts.append(
-                    (
-                        active[fluid_m],
-                        t[fluid_m],
-                        remaining[fluid_m],
-                        cur_cwnd[fluid_m],
-                        i[fluid_m],
-                    )
-                )
-            if data_m.any():
-                # Final window-limited round: one RTT moves the rest.
-                pi = active[data_m]
-                ends[pi] = t0[pi] + (r + 1) * rtt
-                new_cwnd[pi] = _grow_window_batch(cur_cwnd[data_m], ssthresh[pi])
-            cont = ~(fluid_m | data_m)
-            sent = sent[cont] + cur_cwnd[cont]
-            active = active[cont]
-            cur_cwnd = _grow_window_batch(cur_cwnd[cont], ssthresh[active])
-            r += 1
-
-        if fluid_parts:
-            if len(fluid_parts) == 1:
-                fpos, ft, frem, fcwnd, fi = fluid_parts[0]
-            else:
-                fpos = np.concatenate([p[0] for p in fluid_parts])
-                ft = np.concatenate([p[1] for p in fluid_parts])
-                frem = np.concatenate([p[2] for p in fluid_parts])
-                fcwnd = np.concatenate([p[3] for p in fluid_parts])
-                fi = np.concatenate([p[4] for p in fluid_parts])
-            fluid_s = tb.time_to_transfer_batch(
-                ft, frem, lanes=lanes[fpos], interval_hint=fi,
-                force_vector=force_vector,
+        idle = b.idle
+        np.subtract(starts, self._last_send, out=idle)
+        np.maximum(idle, 0.0, out=idle)
+        np.copyto(b.cwnd_pre, self._cwnd)
+        np.copyto(b.ssthresh_pre, self._ssthresh)
+        ends = self._last_send
+        for k in range(tb.n_lanes):
+            cwnd, ssthresh, _ = apply_slow_start_restart(
+                int(b.cwnd_pre[k]), int(b.ssthresh_pre[k]), float(idle[k]), rto
             )
-            ends[fpos] = ft + fluid_s
-            new_cwnd[fpos] = _fluid_grow_batch(fcwnd, fluid_s, rtt)
-        return ends, new_cwnd
+            end, _, grown = _reference_download(
+                tb.lane(k), rtt, float(sizes[k]), float(starts[k]) + rtt,
+                cwnd, ssthresh,
+            )
+            ends[k] = end
+            self._cwnd[k] = grown
+            self._ssthresh[k] = ssthresh
+        shared.observe_rtt(rtt)
+        return self._fill_result(starts, ends, sizes, srtt, min_rtt, rto)
 
     # ------------------------------------------------------------------
-    # Tier 1: the scratch kernel (allocation-free steady state)
+    # The numpy tier: the scratch kernel (allocation-free steady state)
     # ------------------------------------------------------------------
     def _restart_scratch(self, idle: np.ndarray, rto: float) -> None:  # repro: scratch
         """In-place masked slow-start-restart decay of ``_cwnd``/``_ssthresh``.
 
-        Element-wise identical to :func:`_batch_slow_start_restart` (and so
-        to the scalar halving loop): untriggered lanes carry inert values
+        Element-wise identical to the scalar halving loop
+        (:func:`~repro.tcp.state.apply_slow_start_restart`): untriggered
+        lanes carry inert values
         through the masked iterations and are never written back.
         """
         b = self._scratch
@@ -1068,16 +816,15 @@ class BatchTCPConnection:
     def _download_scratch(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
     ) -> "_MutableBatchResult":
-        """Preallocated-scratch mirror of :meth:`_download_numpy`.
+        """The numpy tier: every lane through one chunk, vectorised.
 
         Steady-state chunks (every lane pipe-full and finishing inside its
         current trace interval — the overwhelmingly common case once
         windows have opened) run entirely through ``out=`` ufuncs on
         per-batch buffers: zero new array allocations
-        (``tests/test_dispatch_budget.py``).  Ragged chunks fall back to
-        the allocating helpers but stay on the batch path —
-        ``force_vector=True`` absorbs the ``_VECTOR_ROUNDS_MIN`` and
-        <8-lane scalar cutoffs.
+        (``tests/test_dispatch_budget.py``).  Ragged chunks take the
+        allocating round skip (:meth:`_skip_rounds_scratch`) and stay on
+        the batch path.
         """
         b = self._scratch
         ws = self._ws
@@ -1155,8 +902,8 @@ class BatchTCPConnection:
         ``k == 0``, and all fluid drains merge into one batched
         :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.
         Lanes whose window-limited phase would cross an interval boundary
-        or outrun the table horizon fall back to the scalar kernel per
-        lane, exactly as the analytic tier does.
+        or outrun the table horizon fall back to the scalar analytic
+        kernel per lane.
         """
         b = self._scratch
         ws = self._ws
@@ -1183,8 +930,8 @@ class BatchTCPConnection:
         # value holds forever, mirroring value_at's clamp).
         ok = (k < h) & ((idx0 == last) | (tk < bounds[idx0 + 1]))
         if np.count_nonzero(ok) != ok.size:
-            # Interval crossing mid-phase (or a horizon overrun): per-lane
-            # scalar kernel, identical to the analytic tier's fallbacks.
+            # Interval crossing mid-phase (or a horizon overrun): the
+            # per-lane scalar analytic kernel.
             for j in np.flatnonzero(~ok):
                 e, _, grown = _analytic_download(
                     tb.lane(int(j)),
@@ -1274,7 +1021,8 @@ class BatchTCPConnection:
             np.copyto(cwnd, b.ti, where=gd)
 
     # ------------------------------------------------------------------
-    # Tier 2: the compiled kernel
+    # The compiled tier's per-chunk download (the fused session kernel's
+    # fallback for sessions it cannot run)
     # ------------------------------------------------------------------
     # repro: scratch
     def _download_compiled(

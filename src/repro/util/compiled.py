@@ -21,7 +21,10 @@ shared pieces:
 * **backend naming** (:func:`resolve_backend`) — the canonical tier names
   ``"numba"`` / ``"cc"`` / ``"python"`` every kernel module's
   ``backend()`` reports, pinned consistent across modules by
-  ``tests/test_abduction_kernel.py``.
+  ``tests/test_abduction_kernel.py``;
+* **degrade reporting** (:func:`warn_fallback`) — the once-per-process
+  ``RuntimeWarning`` a stage emits when a caller asked for its
+  ``"compiled"`` tier by name and no backend can serve it.
 
 Each kernel module keeps its own ``FORCE_PYTHON`` flag (tests monkeypatch
 them independently) and its own dispatchers; only the detection and build
@@ -75,6 +78,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import warnings
 
 __all__ = [
     "HAVE_NUMBA",
@@ -86,6 +90,7 @@ __all__ = [
     "cc_compiler",
     "maybe_jit",
     "resolve_backend",
+    "warn_fallback",
 ]
 
 try:  # pragma: no cover - exercised only when numba is installed
@@ -215,3 +220,28 @@ def resolve_backend(force_python: bool, cc_library: CcLibrary) -> str:
     if cc_library.load() is not None:
         return "cc"
     return "python"
+
+
+_WARNED: set[str] = set()
+"""Requests :func:`warn_fallback` has already reported (clear to re-arm)."""
+
+
+def warn_fallback(requested: str, effective: str) -> None:
+    """Warn (once per process per ``requested``) that a compiled tier degraded.
+
+    The degrade itself is by design — every tier keeps the parity
+    contract — but a caller who named the compiled tier explicitly should
+    see the effective tier in their logs.  Default-tier callers degrade
+    silently and never reach this helper.
+    """
+    if requested in _WARNED:
+        return
+    _WARNED.add(requested)
+    warnings.warn(
+        f"{requested} requested but no compiled backend (numba or cc+cffi) "
+        f'is available; falling back to the "{effective}" tier (same '
+        "results, reduced throughput). This warning is emitted once per "
+        "process.",
+        RuntimeWarning,
+        stacklevel=3,
+    )

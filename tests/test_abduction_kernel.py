@@ -40,6 +40,7 @@ from repro.player import _fused
 from repro.tcp import _compiled
 from repro.tcp.estimator import REQUEST_RTTS, chunk_state_arrays
 from repro.tcp.state import TCPStateSnapshot
+from repro.util import compiled as compiled_util
 from repro.util.compiled import BACKEND_NAMES
 
 RTOL = 1e-12
@@ -303,7 +304,7 @@ class TestWiredEntryPoints:
         """No backend => numpy results plus one RuntimeWarning per process."""
         log_b, transitions, gaps = random_stack(13)
         monkeypatch.setattr(_kernels, "use_kernel", lambda: False)
-        monkeypatch.setattr(_kernels, "_FALLBACK_WARNED", False)
+        monkeypatch.setattr(compiled_util, "_WARNED", set())
         want = forward_backward_batch(log_b, transitions, gaps)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = forward_backward_batch(
@@ -372,9 +373,9 @@ class TestSolveBatchTiers:
         reference = VeritasAbduction(
             paper_veritas_config(), kernel="reference"
         ).solve_batch(session_logs)
-        numpy_tier = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        numpy_tier = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         for a, b in zip(reference, numpy_tier):
             assert np.array_equal(a.viterbi.states, b.viterbi.states)
             assert np.array_equal(a.smoothing.gamma, b.smoothing.gamma)
@@ -384,9 +385,9 @@ class TestSolveBatchTiers:
     def test_compiled_tier_within_contract(self, session_logs):
         from repro import paper_veritas_config
 
-        numpy_tier = VeritasAbduction(paper_veritas_config()).solve_batch(
-            session_logs
-        )
+        numpy_tier = VeritasAbduction(
+            paper_veritas_config(), kernel="numpy"
+        ).solve_batch(session_logs)
         compiled = VeritasAbduction(
             paper_veritas_config(), kernel="compiled"
         ).solve_batch(session_logs)
@@ -405,7 +406,7 @@ class TestSolveBatchTiers:
             session_logs
         )
         seeds = [5, 6, 7]
-        want = sample_traces_batch(posteriors, 4, seeds)
+        want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="compiled")
         for traces_a, traces_b in zip(want, got):
             for a, b in zip(traces_a, traces_b):
@@ -419,7 +420,7 @@ class TestSolveBatchTiers:
             session_logs
         )
         seeds = [5, 6, 7]
-        want = sample_traces_batch(posteriors, 4, seeds)
+        want = sample_traces_batch(posteriors, 4, seeds, kernel="numpy")
         got = sample_traces_batch(posteriors, 4, seeds, kernel="reference")
         for traces_a, traces_b in zip(want, got):
             for a, b in zip(traces_a, traces_b):

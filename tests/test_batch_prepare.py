@@ -180,7 +180,9 @@ class TestStackedRecursions:
 
 class TestSolveBatch:
     def test_solve_batch_matches_solve(self, session_logs):
-        abduction = VeritasAbduction(paper_veritas_config())
+        # The numpy tier is the bit-identical one (compiled, the default,
+        # is pinned at rtol=1e-12 in tests/test_abduction_kernel.py).
+        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
         durations = [500.0 + 10.0 * i for i in range(len(session_logs))]
         batch = abduction.solve_batch(session_logs, trace_duration_s=durations)
         for log, duration, posterior in zip(session_logs, durations, batch):
@@ -196,7 +198,7 @@ class TestSolveBatch:
 
     def test_solve_batch_ragged_chunk_counts(self, session_logs):
         """Sessions of different lengths partition by chunk count."""
-        abduction = VeritasAbduction(paper_veritas_config())
+        abduction = VeritasAbduction(paper_veritas_config(), kernel="numpy")
         ragged = list(session_logs[:3])
         ragged.append(session_logs[0].truncated(20))
         ragged.append(session_logs[1].truncated(20))
@@ -305,13 +307,13 @@ class TestPrepareCorpusParity:
     def test_kernel_tiers_prepare_identically(self, setting_a):
         """Setting-A deployment runs through the selected replay-kernel tier
         too; every tier must produce the same ``PreparedCorpus`` bit for bit
-        (``compiled`` degrades to ``scratch`` when no backend is buildable,
+        (``compiled`` degrades to ``numpy`` when no backend is buildable,
         which preserves the contract)."""
         corpus = small_corpus(3)
         want = CounterfactualEngine(
-            paper_veritas_config(), n_samples=2, seed=4, kernel="analytic"
+            paper_veritas_config(), n_samples=2, seed=4, kernel="reference"
         ).prepare_corpus(corpus, setting_a)
-        for kernel in ("scratch", "compiled"):
+        for kernel in ("numpy", "compiled"):
             got = CounterfactualEngine(
                 paper_veritas_config(), n_samples=2, seed=4, kernel=kernel
             ).prepare_corpus(corpus, setting_a)
@@ -322,12 +324,13 @@ class TestPrepareCorpusParity:
         bit-identical by contract; ``compiled`` keeps integer outputs
         (Viterbi anchors, FFBS draws) bit-identical so the prepared corpus
         — sampled traces and replay metrics — comes out identical too, the
-        float posteriors differing only inside rtol=1e-12."""
+        float posteriors differing only inside rtol=1e-12.  The default
+        is ``compiled``."""
         corpus = small_corpus(3)
         want = CounterfactualEngine(
             paper_veritas_config(), n_samples=2, seed=4
         ).prepare_corpus(corpus, setting_a)
-        for abduction_kernel in ("reference", "compiled"):
+        for abduction_kernel in ("reference", "numpy"):
             got = CounterfactualEngine(
                 paper_veritas_config(),
                 n_samples=2,

@@ -3,9 +3,9 @@
 The batch engine promises **bit-identical** results to per-lane serial
 replay at every layer:
 
-* ``TraceBatch.time_to_transfer_batch`` vs the scalar
-  ``PiecewiseConstantTrace.time_to_transfer`` (vectorised bisection over
-  the stacked cumulative-bytes integrals),
+* ``TraceBatch.transfer_drain`` vs the scalar
+  ``PiecewiseConstantTrace.time_to_transfer`` (vectorised interval search
+  over the stacked cumulative-bytes integrals),
 * ``BatchStreamingSession`` (lockstep chunk loop + ``BatchTCPConnection``)
   vs per-lane ``StreamingSession`` runs — exact vectorised ABR decisions
   for BBA/BOLA/MPC, the automatic per-lane scalar fallback, and fused
@@ -102,39 +102,46 @@ class TestTraceBatch:
         for k, t in enumerate(ts):
             assert got[k] == lanes[k].value_at(float(t))
 
-    def test_time_to_transfer_batch_bit_identical(self):
+    def test_transfer_drain_bit_identical(self):
         rng = np.random.default_rng(11)
         lanes = lane_traces(9, seed=5)
         batch = TraceBatch(lanes)
+        every_lane = np.arange(9)
         for _ in range(300):
             starts = rng.uniform(-5.0, 230.0, 9)  # spans before/past the grid
             sizes = 10 ** rng.uniform(1.0, 7.5, 9)
             sizes[rng.random(9) < 0.1] = 0.0
-            got = batch.time_to_transfer_batch(starts, sizes)
+            got = batch.transfer_drain(
+                starts, sizes, every_lane, batch.interval_indices(starts)
+            )
             for k in range(9):
                 want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
                 assert got[k] == want  # bit-identical, no tolerance
 
-    def test_time_to_transfer_batch_lane_subset(self):
+    def test_transfer_drain_lane_subset(self):
         lanes = lane_traces(6, seed=9)
         batch = TraceBatch(lanes)
         subset = np.array([1, 3, 4])
         starts = np.array([3.0, 17.0, 160.0])
         sizes = np.array([5e4, 2e6, 8e5])
-        got = batch.time_to_transfer_batch(starts, sizes, lanes=subset)
+        got = batch.transfer_drain(
+            starts, sizes, subset, batch.interval_indices(starts)
+        )
         for j, k in enumerate(subset):
             want = lanes[k].time_to_transfer(float(starts[j]), float(sizes[j]))
             assert got[j] == want
 
-    def test_vectorised_bisection_path_bit_identical(self):
-        # Enough cold lanes to engage the lockstep binary search (the
-        # small-subset scalar shortcut is bypassed).
+    def test_transfer_drain_long_spills_bit_identical(self):
+        # Big transfers spill across many intervals: past the forward
+        # walk's budget onto the scalar bisection.
         lanes = lane_traces(24, seed=13)
         batch = TraceBatch(lanes)
         rng = np.random.default_rng(2)
         starts = rng.uniform(0.0, 150.0, 24)
-        sizes = 10 ** rng.uniform(6.0, 7.6, 24)  # big: spill many intervals
-        got = batch.time_to_transfer_batch(starts, sizes)
+        sizes = 10 ** rng.uniform(6.0, 7.6, 24)
+        got = batch.transfer_drain(
+            starts, sizes, np.arange(24), batch.interval_indices(starts)
+        )
         for k in range(24):
             want = lanes[k].time_to_transfer(float(starts[k]), float(sizes[k]))
             assert got[k] == want
@@ -143,9 +150,11 @@ class TestTraceBatch:
         vals = [2.0, 1.0, 0.0]
         dead = PiecewiseConstantTrace.from_uniform(vals, 5.0)
         batch = TraceBatch([dead, dead])
+        starts = np.array([0.0, 0.0])
         with pytest.raises(RuntimeError, match="trailing bandwidth"):
-            batch.time_to_transfer_batch(
-                np.array([0.0, 0.0]), np.array([1e9, 1e9])
+            batch.transfer_drain(
+                starts, np.array([1e9, 1e9]), np.arange(2),
+                batch.interval_indices(starts),
             )
 
 
@@ -367,12 +376,12 @@ class TestKernelTierRegistry:
     """Construction-time validation of ``kernel=`` names (PR 6)."""
 
     def test_known_tiers(self):
+        from repro.core.abduction import ABDUCTION_TIERS
         from repro.tcp.connection import DEFAULT_KERNEL, KERNEL_TIERS
 
-        assert KERNEL_TIERS == (
-            "reference", "analytic", "scratch", "compiled", "fused"
-        )
-        assert DEFAULT_KERNEL in KERNEL_TIERS
+        assert KERNEL_TIERS == ("reference", "numpy", "compiled")
+        assert KERNEL_TIERS == ABDUCTION_TIERS  # one tier vocabulary
+        assert DEFAULT_KERNEL == "compiled"
 
     def test_batch_connection_rejects_unknown_kernel(self):
         from repro.tcp.connection import BatchTCPConnection
@@ -401,27 +410,22 @@ class TestKernelTierRegistry:
         for tier in KERNEL_TIERS:
             conn = BatchTCPConnection(batch, kernel=tier)
             assert conn.kernel == tier
-            # "compiled" may legitimately degrade to "scratch" and "fused"
-            # to "compiled"/"scratch"; everything else serves exactly the
-            # requested tier.
+            # "compiled" may legitimately degrade to "numpy"; everything
+            # else serves exactly the requested tier.
             if tier == "compiled":
-                assert conn._tier in ("compiled", "scratch")
-            elif tier == "fused":
-                assert conn._tier in ("fused", "compiled", "scratch")
+                assert conn._tier in ("compiled", "numpy")
             else:
                 assert conn._tier == tier
 
 
-REPLAY_TIERS = ("reference", "analytic", "scratch", "compiled", "fused")
+REPLAY_TIERS = ("reference", "numpy", "compiled")
 
 
 class TestKernelTierParity:
     """Threshold-boundary parity across every replay kernel tier (PR 6).
 
-    The scratch tier absorbs two scalar-fallback cutoffs — the <8-lane
-    bisect shortcut and the ``_VECTOR_ROUNDS_MIN`` (= 12) round-schedule
-    minimum — so lane counts 1/7/8 and downloads taking 11/12/13
-    reference rounds sit exactly on those seams.  Every case must be
+    Lane counts 1/7/8 and downloads taking 3/11/12/13 reference rounds sit
+    on the seams of earlier small-batch cutoffs; every case must stay
     bit-identical on every tier.
     """
 
@@ -453,11 +457,10 @@ class TestKernelTierParity:
 
     @pytest.mark.parametrize("tier", REPLAY_TIERS)
     def test_round_count_boundaries(self, tier):
-        """Downloads engineered to take 3/11/12/13 reference rounds —
-        straddling ``_VECTOR_ROUNDS_MIN`` (= 12) — all bit-identical."""
+        """Downloads engineered to take 3/11/12/13 reference rounds — all
+        bit-identical."""
         from repro.tcp.connection import BatchTCPConnection, TCPConnection
 
-        assert BatchTCPConnection._VECTOR_ROUNDS_MIN == 12  # 11/12/13 on the seam
         targets = [3, 11, 12, 13]
         # 400 Mbps: the BDP (4 MB) exceeds cwnd*MSS through round 13, so
         # the loop below never exits pipe-full before its target round.
@@ -490,7 +493,7 @@ class TestKernelTierParity:
         n = 6
         rng = np.random.default_rng(17)
         conn = BatchTCPConnection(TraceBatch([trace] * n), kernel=tier)
-        serial = [TCPConnection(trace, kernel="analytic") for _ in range(n)]
+        serial = [TCPConnection(trace, kernel="numpy") for _ in range(n)]
         starts = np.zeros(n)
         for _ in range(4):
             sizes = 10 ** rng.uniform(4.5, 6.5, n)

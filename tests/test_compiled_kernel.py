@@ -10,9 +10,10 @@ whole-batch chunk-download kernel:
 
 This suite pins the active backend to the Python mirror bit-for-bit,
 exercises the feature-detection/fallback contract
-(``kernel="compiled"`` degrades to the scratch tier when no backend is
-buildable), and runs whole sessions through the compiled tier against
-serial replay.
+(``kernel="compiled"`` degrades to the numpy tier when no backend is
+buildable), and runs whole sessions through the compiled tier — the
+fused session kernel and its per-chunk download loop — against serial
+replay.
 
 Tolerance note: both compiled backends execute the same correctly-rounded
 IEEE-754 float64 operations as the mirror in the same order (the cc build
@@ -105,16 +106,14 @@ class TestBackendDispatch:
         assert _compiled.available()
         assert _compiled.backend() == "python"
 
-    def test_unavailable_compiled_falls_back_to_scratch(self, monkeypatch):
-        from repro.tcp import connection
-
+    def test_unavailable_compiled_falls_back_to_numpy(self, monkeypatch):
         monkeypatch.setattr(_compiled, "available", lambda: False)
-        monkeypatch.setattr(connection, "_COMPILED_FALLBACK_WARNED", False)
+        monkeypatch.setattr(util_compiled, "_WARNED", set())
         batch = TraceBatch(lane_traces(3))
         with pytest.warns(RuntimeWarning, match="falling back"):
             conn = BatchTCPConnection(batch, kernel="compiled")
         assert conn.kernel == "compiled"  # the request is remembered...
-        assert conn._tier == "scratch"  # ...but the scratch tier serves it
+        assert conn._tier == "numpy"  # ...but the numpy tier serves it
 
     def test_cc_build_failure_is_graceful(self, monkeypatch, tmp_path):
         """An unusable cache dir must make the cc backend report
@@ -168,8 +167,15 @@ class TestRawKernelParity:
 
 
 class TestCompiledSessionParity:
+    @pytest.mark.parametrize("per_chunk", [False, True])
     @pytest.mark.parametrize("abr_factory", [BBAAlgorithm, BOLAAlgorithm, MPCAlgorithm])
-    def test_sessions_bit_identical_to_serial(self, video, abr_factory):  # noqa: F811
+    def test_sessions_bit_identical_to_serial(
+        self, video, abr_factory, per_chunk, monkeypatch  # noqa: F811
+    ):
+        """The fused session kernel and, with it switched off, the
+        per-chunk compiled download loop."""
+        if per_chunk:
+            monkeypatch.setattr(_fused, "available", lambda: False)
         traces = lane_traces(6, seed=21)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
@@ -183,6 +189,7 @@ class TestCompiledSessionParity:
         """The pure-Python mirror must satisfy the same session contract —
         this keeps the compiled code path testable with no toolchain."""
         monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
+        monkeypatch.setattr(_fused, "available", lambda: False)
         traces = lane_traces(5, seed=22)
         config = SessionConfig(buffer_capacity_s=6.0)
         batch_log = BatchStreamingSession(
@@ -200,16 +207,16 @@ class TestCompiledSessionParity:
         compiled_log = BatchStreamingSession(
             video, BBAAlgorithm, traces, config, kernel="compiled"
         ).run()
-        scratch_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel="scratch"
+        numpy_log = BatchStreamingSession(
+            video, BBAAlgorithm, traces, config, kernel="numpy"
         ).run()
         np.testing.assert_allclose(
-            compiled_log.end_times_s, scratch_log.end_times_s, rtol=1e-12, atol=0.0
+            compiled_log.end_times_s, numpy_log.end_times_s, rtol=1e-12, atol=0.0
         )
         np.testing.assert_allclose(
-            compiled_log.rebuffer_s, scratch_log.rebuffer_s, rtol=1e-12, atol=0.0
+            compiled_log.rebuffer_s, numpy_log.rebuffer_s, rtol=1e-12, atol=0.0
         )
-        assert np.array_equal(compiled_log.qualities, scratch_log.qualities)
+        assert np.array_equal(compiled_log.qualities, numpy_log.qualities)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +439,7 @@ class TestMPCKernelEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Fused session tier (PR 8).
+# Fused session kernel: the compiled tier's whole-session path.
 # ----------------------------------------------------------------------
 
 
@@ -446,7 +453,7 @@ class TestFusedTier:
             LaneGroup(BOLAAlgorithm, SessionConfig(buffer_capacity_s=8.0), traces[3:6]),
             LaneGroup(MPCAlgorithm, SessionConfig(buffer_capacity_s=15.0), traces[6:]),
         ]
-        batch_log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        batch_log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         factories = [BBAAlgorithm] * 3 + [BOLAAlgorithm] * 3 + [MPCAlgorithm] * 3
         capacities = [15.0] * 3 + [8.0] * 3 + [15.0] * 3
         for k, trace in enumerate(traces):
@@ -462,42 +469,51 @@ class TestFusedTier:
         traces = lane_traces(4, seed=52)
         config = SessionConfig(buffer_capacity_s=6.0, request_overhead_s=0.05)
         batch_log = BatchStreamingSession(
-            video, BOLAAlgorithm, traces, config, kernel="fused"
+            video, BOLAAlgorithm, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, BOLAAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_force_python_sessions_bit_identical(self, video, monkeypatch):  # noqa: F811
-        """The fused tier's pure-Python mirror satisfies the same session
+        """The fused kernel's pure-Python mirror satisfies the same session
         contract — the whole fused path stays testable with no
-        toolchain (and this is what the tier serves when only the
-        session kernel's backend is missing)."""
+        toolchain."""
         monkeypatch.setattr(_fused, "FORCE_PYTHON", True)
+        # The tier itself needs a live download kernel; the mirror
+        # counts, so this runs with no toolchain too.
+        monkeypatch.setattr(_compiled, "FORCE_PYTHON", True)
         traces = lane_traces(5, seed=53)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, MPCAlgorithm, traces, config, kernel="fused"
+            video, MPCAlgorithm, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
-    def test_unavailable_fused_falls_back(self, video, monkeypatch):  # noqa: F811
-        from repro.tcp import connection
+    def test_unavailable_fused_takes_chunk_loop(self, video, monkeypatch):  # noqa: F811
+        """Without the session kernel, kernel="compiled" quietly runs the
+        per-chunk loop (the session kernel is an internal fast path, not
+        a tier of its own) and still matches serial replay."""
+        import warnings
 
         monkeypatch.setattr(_fused, "available", lambda: False)
-        monkeypatch.setattr(connection, "_FUSED_FALLBACK_WARNED", False)
-        batch = TraceBatch(lane_traces(3))
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            conn = BatchTCPConnection(batch, kernel="fused")
-        assert conn.kernel == "fused"  # the request is remembered...
-        expected = "compiled" if _compiled.available() else "scratch"
-        assert conn._tier == expected  # ...served by the next tier down
+        monkeypatch.setattr(util_compiled, "_WARNED", set())
+        traces = lane_traces(3, seed=58)
+        config = SessionConfig(buffer_capacity_s=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch_log = BatchStreamingSession(
+                video, MPCAlgorithm, traces, config, kernel="compiled"
+            ).run()
+        for k, trace in enumerate(traces):
+            serial = StreamingSession(video, MPCAlgorithm(), trace, config).run()
+            assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_scalar_fallback_abr_uses_chunk_loop(self, video):  # noqa: F811
         """An ABR outside the fused kernel's reach (scalar decisions) on
-        kernel="fused" silently takes the per-chunk loop on the same
+        kernel="compiled" silently takes the per-chunk loop on the same
         connection — identical results, no error."""
 
         class PinnedBBA(BBAAlgorithm):
@@ -509,20 +525,20 @@ class TestFusedTier:
         traces = lane_traces(3, seed=54)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, PinnedBBA, traces, config, kernel="fused"
+            video, PinnedBBA, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, PinnedBBA(), trace, config).run()
             assert_logs_identical(serial, batch_log.lane(k))
 
     def test_fused_non_robust_mpc_uses_chunk_loop(self, video):  # noqa: F811
-        """Plain (non-robust) MPC has no kernel pack, so the fused tier
+        """Plain (non-robust) MPC has no kernel pack, so the compiled tier
         must fall back to the per-chunk loop and still match serial."""
         factory = lambda: MPCAlgorithm(robust=False)  # noqa: E731
         traces = lane_traces(3, seed=55)
         config = SessionConfig(buffer_capacity_s=8.0)
         batch_log = BatchStreamingSession(
-            video, factory, traces, config, kernel="fused"
+            video, factory, traces, config, kernel="compiled"
         ).run()
         for k, trace in enumerate(traces):
             serial = StreamingSession(video, factory(), trace, config).run()
@@ -545,7 +561,7 @@ class TestFusedTier:
                 traces[2:],
             ),
         ]
-        batch_log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        batch_log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         horizons = [4, 4, 5, 5]
         for k, trace in enumerate(traces):
             serial = StreamingSession(
@@ -563,7 +579,7 @@ class TestFusedTier:
         traces = lane_traces(8, seed=57)
         config = SessionConfig(buffer_capacity_s=5.0)
         batch_log = BatchStreamingSession(
-            video, BBAAlgorithm, traces, config, kernel="fused"
+            video, BBAAlgorithm, traces, config, kernel="compiled"
         ).run()
         assert float(np.max(batch_log.rebuffer_s)) > 0.0
         for k, trace in enumerate(traces):
@@ -579,5 +595,5 @@ class TestFusedTier:
                 BBAAlgorithm,
                 [dead, dead],
                 SessionConfig(buffer_capacity_s=5.0),
-                kernel="fused",
+                kernel="compiled",
             ).run()

@@ -1,6 +1,6 @@
 """Allocation and dispatch budgets of the replay kernel tiers (PR 6, PR 8).
 
-``kernel="scratch"`` promises an **allocation-free steady state**: once a
+``kernel="numpy"`` promises an **allocation-free steady state**: once a
 ``BatchTCPConnection`` has warmed up, a pipe-full chunk download (every
 lane finishing inside its current trace interval — the overwhelmingly
 common case once windows have opened) runs entirely through ``out=``
@@ -16,9 +16,10 @@ boxed floats in ``observe_rtt``) stays under ~1 KiB regardless of ``K``.
 At ``K = 4096`` the assertion threshold of ``K`` bytes sits far above
 the noise and far below the smallest possible lane array.
 
-``kernel="fused"`` (PR 8) makes a stronger promise: the entire session —
-every chunk's download, ABR decision and buffer/stall accounting — runs
-inside **one** compiled call, eliminating per-chunk Python re-entry.
+``kernel="compiled"`` (the fused session kernel) makes a stronger
+promise: the entire session — every chunk's download, ABR decision and
+buffer/stall accounting — runs inside **one** compiled call,
+eliminating per-chunk Python re-entry.
 The dispatch-count test below pins that to exactly one
 ``_fused.run_session`` invocation per session, with zero per-chunk
 ``download_batch`` dispatches.
@@ -45,7 +46,7 @@ STEADY_CALLS = 25
 
 
 def steady_state_connection():
-    """A warmed-up scratch-tier connection in the pipe-full regime.
+    """A warmed-up numpy-tier connection in the pipe-full regime.
 
     One long interval at 1.0 Mbps keeps the BDP (10 kB) below even the
     initial congestion window (15 kB), so every lane is pipe-full from
@@ -53,8 +54,8 @@ def steady_state_connection():
     requests (idle == 0) keep slow-start restart inert.
     """
     trace = PiecewiseConstantTrace([0.0, 1e9], [1.0])
-    conn = BatchTCPConnection(TraceBatch([trace] * K), kernel="scratch")
-    assert conn._tier == "scratch"
+    conn = BatchTCPConnection(TraceBatch([trace] * K), kernel="numpy")
+    assert conn._tier == "numpy"
     rng = np.random.default_rng(0)
     sizes = rng.uniform(2e4, 6e4, K)
     starts = np.zeros(K)
@@ -111,8 +112,8 @@ class TestScratchAllocationBudget:
 
 
 class TestFusedDispatchBudget:
-    """``kernel="fused"``: one compiled call per session, no per-chunk
-    Python re-entry (PR 8 acceptance criterion)."""
+    """``kernel="compiled"``: one fused-kernel call per session, no
+    per-chunk Python re-entry."""
 
     def test_single_kernel_call_per_session(self, monkeypatch):
         from repro import BatchStreamingSession, SessionConfig, Video, default_ladder
@@ -152,7 +153,7 @@ class TestFusedDispatchBudget:
             BatchTCPConnection, "download_batch", counting_download_batch
         )
 
-        log = BatchStreamingSession.fused(video, groups, kernel="fused").run()
+        log = BatchStreamingSession.fused(video, groups, kernel="compiled").run()
         assert log.n_chunks == video.n_chunks  # the session actually ran
         assert kernel_calls["n"] == 1, (
             f"fused session entered the kernel {kernel_calls['n']} times; "

@@ -446,9 +446,10 @@ class TestCompiledFallbackWarning:
     def test_warns_once_per_process(self, monkeypatch):
         from repro.net.trace import TraceBatch
         from repro.tcp import _compiled, connection
+        from repro.util import compiled as compiled_util
 
         monkeypatch.setattr(_compiled, "available", lambda: False)
-        monkeypatch.setattr(connection, "_COMPILED_FALLBACK_WARNED", False)
+        monkeypatch.setattr(compiled_util, "_WARNED", set())
         batch = TraceBatch(
             [PiecewiseConstantTrace.from_uniform([5.0, 5.0], 1.0)]
         )
@@ -460,7 +461,7 @@ class TestCompiledFallbackWarning:
 
         with pytest.warns(RuntimeWarning, match="falling back"):
             conn = build()
-        assert conn._tier == "scratch"
+        assert conn._tier == "numpy"
 
         import warnings as _warnings
 

@@ -92,15 +92,20 @@ class TestTrackedArtifacts:
             for path in tracked_files
             if ".egg-info" in path
             or path.startswith((".pytest_cache/", ".benchmarks/"))
-            # BENCH_seed.json / BENCH_pr8.json / BENCH_pr9.json are the
-            # committed perf baselines the CI perf-regression job diffs
-            # against; every other BENCH_*.json is a local run artifact
-            # that must stay untracked.
+            # BENCH_seed.json / BENCH_pr8.json / BENCH_pr9.json /
+            # BENCH_pr12.json are the committed perf baselines the CI
+            # perf-regression job diffs against; every other BENCH_*.json
+            # is a local run artifact that must stay untracked.
             or (
                 path.startswith("BENCH_")
                 and path.endswith(".json")
                 and path
-                not in ("BENCH_seed.json", "BENCH_pr8.json", "BENCH_pr9.json")
+                not in (
+                    "BENCH_seed.json",
+                    "BENCH_pr8.json",
+                    "BENCH_pr9.json",
+                    "BENCH_pr12.json",
+                )
             )
         ]
         assert offenders == [], f"build residue committed to git: {offenders}"

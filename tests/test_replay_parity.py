@@ -122,7 +122,7 @@ class TestDownloadKernelParity:
             # positive; interior zero-bandwidth gaps stay in play.
             tr = random_trace(rng, trailing_positive=True)
             rtt = float(rng.uniform(0.02, 0.3))
-            fast = TCPConnection(tr, rtt_s=rtt, kernel="analytic")
+            fast = TCPConnection(tr, rtt_s=rtt, kernel="numpy")
             ref = TCPConnection(tr, rtt_s=rtt, kernel="reference")
             t = 0.0
             for _ in range(int(rng.integers(1, 7))):
@@ -146,10 +146,10 @@ class TestDownloadKernelParity:
         setting = change_abr(setting_a, abr)
         traces = paper_corpus(count=2, duration_s=500.0, seed=99)
         logs = {}
-        for kernel in ("analytic", "reference"):
+        for kernel in ("numpy", "reference"):
             monkeypatch.setattr(connection_module, "DEFAULT_KERNEL", kernel)
             logs[kernel] = [run_setting(setting, tr) for tr in traces]
-        for log_fast, log_ref in zip(logs["analytic"], logs["reference"]):
+        for log_fast, log_ref in zip(logs["numpy"], logs["reference"]):
             assert log_fast == log_ref  # SessionLog equality is field-exact
 
 
@@ -214,12 +214,12 @@ class TestEngineKernelTiers:
         setting_a, traces = fixtures
         settings_b = [change_abr(setting_a, "bba"), change_buffer(setting_a, 30.0)]
         results = {}
-        for tier in ("analytic", "scratch", "compiled"):
+        for tier in ("reference", "numpy", "compiled"):
             engine = CounterfactualEngine(
                 paper_veritas_config(), n_samples=3, seed=5, kernel=tier
             )
             prepared = engine.prepare_corpus(traces, setting_a)
             results[tier] = engine.evaluate_many(prepared, settings_b)
-        for tier in ("scratch", "compiled"):
-            for got, want in zip(results[tier], results["analytic"]):
+        for tier in ("numpy", "compiled"):
+            for got, want in zip(results[tier], results["reference"]):
                 assert got.per_trace == want.per_trace  # exact equality
