@@ -146,104 +146,45 @@ def test_perf_posterior_sampling(benchmark):
 
 
 def test_perf_replay_kernel(benchmark):
-    """Analytic vs reference scalar TCP kernel (bit-identical; see the
-    parity suite).  ``TCPConnection`` runs the analytic kernel on the
-    ``numpy`` and ``compiled`` tiers.
+    """Scalar replay session at bench scale.
 
-    Two regimes, measured in one process so container CPU noise cancels
-    out of the ratios:
-
-    * full replay sessions at bench scale, where slow start is geometric
-      and downloads take only a handful of rounds — the kernels are
-      expected to be comparable here;
-    * a window-limited (congestion-avoidance-dominated) stress shape,
-      where the per-RTT loop pays O(rounds) and the analytic kernel
-      resolves each interval in closed form.
+    ``TCPConnection`` runs the per-RTT golden loop, the one scalar TCP
+    download path: ``run_setting``, ``use_batch=False`` and the
+    ``on_error="degrade"`` retry all replay through it.  Min of 3 timed
+    rounds of 5 sessions each, after one warm-up session.
     """
-    import numpy as np
-
-    import repro.tcp.connection as connection_module
-    from repro import change_abr, paper_corpus
-    from repro.net.trace import PiecewiseConstantTrace
-    from repro.tcp.connection import TCPConnection
-
     setting_b = change_abr(bench_setting_a(), "bba")
     trace = paper_corpus(count=1, duration_s=TRACE_DURATION_S, seed=CORPUS_SEED)[0]
+    logs = []
 
-    def run_sessions(kernel: str, repeats: int = 5) -> float:
-        previous = connection_module.DEFAULT_KERNEL
-        connection_module.DEFAULT_KERNEL = kernel
-        try:
-            run_setting(setting_b, trace)  # warm caches
-            start = time.perf_counter()
-            for _ in range(repeats):
-                run_setting(setting_b, trace)
-            return (time.perf_counter() - start) / repeats
-        finally:
-            connection_module.DEFAULT_KERNEL = previous
-
-    rng = np.random.default_rng(3)
-    stress_trace = PiecewiseConstantTrace.from_uniform(rng.uniform(35, 50, 600), 5.0)
-
-    def run_stress(kernel: str, repeats: int = 150) -> float:
-        # Congestion avoidance toward a large BDP: the reference walks one
-        # Python iteration per RTT, the analytic kernel one per interval.
-        conn = TCPConnection(stress_trace, rtt_s=0.25, kernel=kernel)
-        conn.download(1e6, 0.0)  # warm state/schedule caches
+    def run_sessions(repeats: int = 5) -> float:
         start = time.perf_counter()
-        t = conn.state.last_send_time_s
         for _ in range(repeats):
-            conn.state.cwnd_segments = 10
-            conn.state.ssthresh_segments = 12
-            result = conn.download(10_000_000.0, t)
-            t = result.end_time_s
+            logs.append(run_setting(setting_b, trace))
         return (time.perf_counter() - start) / repeats
 
-    # Interleaved min-of-3 per kernel: a single 5-repeat mean sits close
-    # enough to the 0.8x acceptance gate to flake when the container CPU
-    # gets a noise burst mid-measurement.
-    analytic_s = run_once(benchmark, lambda: run_sessions("numpy"))
-    reference_s = run_sessions("reference")
+    run_setting(setting_b, trace)  # warm caches
+    reference_s = run_once(benchmark, run_sessions)
     for _ in range(2):
-        analytic_s = min(analytic_s, run_sessions("numpy"))
-        reference_s = min(reference_s, run_sessions("reference"))
-    stress_analytic_s = run_stress("numpy")
-    stress_reference_s = run_stress("reference")
-
-    replays_per_sec = 1.0 / analytic_s
-    session_speedup = reference_s / analytic_s
-    stress_speedup = stress_reference_s / stress_analytic_s
+        reference_s = min(reference_s, run_sessions())
+    replays_per_sec = 1.0 / reference_s
 
     print_header(
-        "Perf — replay kernel (analytic vs per-RTT reference)",
-        "bit-identical kernels; analytic wins grow with rounds per download",
+        "Perf — scalar replay session (per-RTT reference TCP loop)",
+        "the path run_setting, use_batch=False and the degrade retry take",
     )
     print(
-        f"  bench-scale replay session: analytic {analytic_s * 1e3:.2f} ms vs "
-        f"reference {reference_s * 1e3:.2f} ms "
-        f"({replays_per_sec:.1f} replays/sec, {session_speedup:.2f}x)"
-    )
-    print(
-        f"  window-limited stress download: analytic "
-        f"{stress_analytic_s * 1e6:.1f} us vs reference "
-        f"{stress_reference_s * 1e6:.1f} us ({stress_speedup:.2f}x)"
+        f"  bench-scale replay session: {reference_s * 1e3:.2f} ms "
+        f"({replays_per_sec:.1f} replays/sec)"
     )
     benchmark.extra_info.update(
-        analytic_ms=analytic_s * 1e3,
         reference_ms=reference_s * 1e3,
         replays_per_sec=replays_per_sec,
-        session_speedup=session_speedup,
-        stress_speedup=stress_speedup,
     )
-    ok = shape_check(
-        "analytic kernel comparable at bench scale (>= 0.8x)",
-        session_speedup >= 0.8,
+    assert shape_check(
+        "every timed session replays the whole video",
+        all(log.n_chunks == setting_b.video.n_chunks for log in logs),
     )
-    ok &= shape_check(
-        "analytic kernel wins the window-limited regime (>= 1.5x)",
-        stress_speedup >= 1.5,
-    )
-    assert ok
 
 
 def test_perf_evaluate_trace(benchmark):

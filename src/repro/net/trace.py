@@ -10,7 +10,10 @@ The class supports the handful of operations the rest of the library needs:
 * point lookup (``value_at``) and interval averaging (``average``),
 * integration — how many bytes a saturating flow moves in ``[t0, t1]``,
 * the inverse integral (``time_to_transfer``) — when does a transfer of
-  ``size`` bytes starting at ``t0`` complete,
+  ``size`` bytes starting at ``t0`` complete; a forward walk over the
+  cumulative-bytes integral, and the scalar reference that
+  :class:`TraceBatch`'s drains and the compiled replay kernels match bit
+  for bit,
 * quantization onto an ε grid (used to compare reconstructions), and
 * resampling onto a uniform δ grid.
 
@@ -21,7 +24,7 @@ runs longer than the original one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,8 +84,9 @@ class PiecewiseConstantTrace:
         self._values = vals
         bounds.setflags(write=False)
         vals.setflags(write=False)
-        # Cumulative bytes moved from start_time up to each boundary; makes
-        # integrate()/time_to_transfer() O(log k) instead of O(k).
+        # Cumulative bytes moved from start_time up to each boundary:
+        # integrate_bytes() becomes one interval lookup, and
+        # time_to_transfer() walks interval totals instead of re-summing.
         rates = mbps_to_bytes_per_sec(vals)
         self._rates = rates
         self._cum_bytes = np.concatenate(
@@ -97,8 +101,7 @@ class PiecewiseConstantTrace:
         The replay engine issues millions of point queries per corpus and
         bisect on a list is ~10x cheaper than a 0-d numpy searchsorted.
         Built lazily on the first scalar query so short-lived traces (e.g.
-        ``resampled()`` intermediates) never pay the conversion; shared
-        with the TCP kernel, which must not touch the slots directly.
+        ``resampled()`` intermediates) never pay the conversion.
         """
         mirrors = self._mirrors
         if mirrors is None:
@@ -252,18 +255,26 @@ class PiecewiseConstantTrace:
         bytes_moved = self.integrate_bytes(t0, t1)
         return bytes_moved * 8 / 1e6 / (t1 - t0)
 
-    def _transfer_prefix(
-        self, start: float, remaining: float
-    ) -> "tuple[float, int] | float":
-        """Shared head of the transfer solvers.
+    def time_to_transfer(self, start: float, size_bytes: float) -> float:
+        """Seconds for a saturating flow starting at ``start`` to move ``size_bytes``.
 
-        Handles the hold-before-start prefix, the interval containing
-        ``start`` (the hot case: most transfers finish inside it), and
-        starts at/past ``end_time``.  Returns the finish time when the
-        transfer completes there, else ``(cum_start, first_i)``: the
-        cumulative-bytes integral at ``start`` and the first interval index
-        a completion search must consider.
+        The first value holds before ``start_time`` and the final value
+        beyond ``end_time``.  Raises :class:`RuntimeError` when the
+        transfer can never finish (zero bandwidth from some point on).
+
+        Most transfers finish inside the interval containing ``start``;
+        the rest walk the cumulative-bytes integral forward to the first
+        positive-rate interval that covers them.  The batch drains
+        (:class:`TraceBatch`) and the compiled kernels evaluate the same
+        float expressions in the same order, so they match this walk bit
+        for bit.
         """
+        if size_bytes < 0:
+            raise ValueError(f"size must be non-negative, got {size_bytes}")
+        if size_bytes == 0:
+            return 0.0
+
+        remaining = float(size_bytes)
         bounds, _, rates, cum = self._scalar_mirrors()
         t = float(start)
 
@@ -282,87 +293,24 @@ class PiecewiseConstantTrace:
             capacity = rate * (bounds[0] - t)
             if rate > 0 and capacity >= remaining - _EPS_BYTES:
                 return remaining / rate
-            return rate * (t - bounds[0]), 0
+            cum_start = rate * (t - bounds[0])
+            first_i = 0
+        else:
+            i = self._interval_index(t)
+            rate = rates[i]
+            capacity = rate * (bounds[i + 1] - t)
+            if rate > 0 and capacity >= remaining - _EPS_BYTES:
+                return t + remaining / rate - start
+            cum_start = cum[i] + rate * (t - bounds[i])
+            first_i = i + 1
 
-        i = self._interval_index(t)
-        rate = rates[i]
-        capacity = rate * (bounds[i + 1] - t)
-        if rate > 0 and capacity >= remaining - _EPS_BYTES:
-            return t + remaining / rate - start
-        return cum[i] + rate * (t - bounds[i]), i + 1
-
-    def time_to_transfer(self, start: float, size_bytes: float) -> float:
-        """Seconds for a saturating flow starting at ``start`` to move ``size_bytes``.
-
-        The trace is held constant at its final value beyond ``end_time``.
-        Raises :class:`RuntimeError` when the transfer can never finish
-        (zero bandwidth from some point on).
-
-        The completion interval is resolved with a single bisection over the
-        precomputed cumulative-bytes integral instead of walking intervals
-        one by one; :meth:`time_to_transfer_reference` keeps the O(k) walk
-        as the golden reference and the two are bit-identical.
-        """
-        if size_bytes < 0:
-            raise ValueError(f"size must be non-negative, got {size_bytes}")
-        if size_bytes == 0:
-            return 0.0
-
-        remaining = float(size_bytes)
-        head = self._transfer_prefix(start, remaining)
-        if not isinstance(head, tuple):
-            return head
-        cum_start, first_i = head
-
-        bounds, _, rates, cum = self._scalar_mirrors()
-        k = len(rates)
-        # First interval i >= first_i with positive rate whose cumulative
-        # capacity covers the transfer: cum[i + 1] >= thresh.  bisect lands
-        # on a positive-rate interval automatically (zero-rate intervals are
-        # plateaus of ``cum``) except in the degenerate remaining <= eps
-        # case, where the short walk below skips them.
-        thresh = cum_start + remaining - _EPS_BYTES
-        idx = bisect_left(cum, thresh, first_i + 1)
-        if idx <= k:
-            i = idx - 1
-            while i < k and rates[i] <= 0:
-                i += 1
-            if i < k:
-                rest = remaining - (cum[i] - cum_start)
-                return bounds[i] + rest / rates[i] - start
-
-        # Past the end of the trace: the final value holds forever.
-        rate = rates[-1]
-        if rate <= 0:
-            raise RuntimeError("transfer cannot complete: trailing bandwidth is zero")
-        rest = remaining - (cum[-1] - cum_start)
-        return bounds[-1] + rest / rate - start
-
-    def time_to_transfer_reference(self, start: float, size_bytes: float) -> float:
-        """Scalar interval walk: the golden reference for :meth:`time_to_transfer`.
-
-        Walks the trace one interval at a time evaluating exactly the same
-        float predicates as the bisection fast path, so the two agree to the
-        last bit (see ``tests/test_replay_parity.py``).
-        """
-        if size_bytes < 0:
-            raise ValueError(f"size must be non-negative, got {size_bytes}")
-        if size_bytes == 0:
-            return 0.0
-
-        remaining = float(size_bytes)
-        head = self._transfer_prefix(start, remaining)
-        if not isinstance(head, tuple):
-            return head
-        cum_start, first_i = head
-
-        bounds, _, rates, cum = self._scalar_mirrors()
         thresh = cum_start + remaining - _EPS_BYTES
         for i in range(first_i, len(rates)):
             if rates[i] > 0 and cum[i + 1] >= thresh:
                 rest = remaining - (cum[i] - cum_start)
                 return bounds[i] + rest / rates[i] - start
 
+        # Past the end of the trace: the final value holds forever.
         rate = rates[-1]
         if rate <= 0:
             raise RuntimeError("transfer cannot complete: trailing bandwidth is zero")
@@ -440,7 +388,7 @@ class TraceBatch:
     Every lane's result is **bit-identical** to the corresponding scalar
     :meth:`PiecewiseConstantTrace.time_to_transfer` call: the float
     expressions are evaluated element-wise in the same order and the
-    interval search lands on the interval the scalar bisection finds
+    interval search lands on the interval the scalar walk finds
     (pinned by ``tests/test_batch_replay.py``).  All lanes must share an identical
     boundary array — posterior samples of one abduction (and uniform-grid
     reconstructions generally) satisfy this by construction; use
@@ -657,7 +605,7 @@ class TraceBatch:
     # within a couple of intervals of their start, so a short monotone
     # walk resolves them in 1-2 cheap iterations; the rare long spill
     # (a starved lane crossing many intervals) falls back to the scalar
-    # bisection.
+    # walk.
     _DRAIN_WALK_MAX = 4
 
     def transfer_drain(

@@ -1,9 +1,9 @@
 """Lockstep multi-session replay: one chunk loop over K trace lanes.
 
-After PR 2 made a single replay's TCP kernel analytic, per-chunk CPython
-work (ABR decision calls, record construction, buffer bookkeeping)
-dominated counterfactual replay — and every Setting-B query paid it once
-per posterior sample.  :class:`BatchStreamingSession` removes that
+A scalar replay spends most of its time in per-chunk CPython work (ABR
+decision calls, record construction, buffer bookkeeping), not in the TCP
+download itself — and every Setting-B query pays it once per posterior
+sample.  :class:`BatchStreamingSession` removes that
 multiplier: it replays streaming sessions over ``K`` bandwidth lanes at
 once, advancing all sessions chunk by chunk in lockstep with array-valued
 buffer levels, stall accounting and congestion state, and writing a

@@ -19,25 +19,25 @@ This produces exactly the observable biases the paper documents: small
 chunks see throughput far below GTBW (Fig. 2(c)), idle gaps reset the
 window, and only > BDP transfers observe throughput close to GTBW.
 
-Three kernel tiers implement the replay, selected by the ``kernel=``
+A scalar :class:`TCPConnection` always runs the per-RTT loop
+(:func:`_reference_download`): it is the one scalar download path and the
+golden parity target.  :class:`BatchTCPConnection` advances K lanes in
+lockstep through one of three kernel tiers, selected by the ``kernel=``
 argument (``None`` picks the module-level ``DEFAULT_KERNEL``, the
 compiled tier); the names match the abduction tiers
 (:data:`repro.core.abduction.ABDUCTION_TIERS`):
 
-* ``"reference"`` — the per-RTT scalar ``while`` loop, the golden parity
-  target every other tier is pinned against.  A batch connection runs it
-  lane by lane.
+* ``"reference"`` — the scalar per-RTT loop, lane by lane.
 * ``"numpy"`` — the batched analytic pass over preallocated per-batch
   scratch buffers.  Each constant-bandwidth trace interval resolves in
   closed form: the slow-start/congestion-avoidance round schedule is
   precomputed once per ``(cwnd, ssthresh)`` (the same round-schedule
   trick the Algorithm-4 estimator uses), so the rounds until the pipe
-  fills or the data runs out reduce to bisections over it.  Every
+  fills or the data runs out reduce to counts over it.  Every
   steady-state chunk runs through ``out=``/in-place ufuncs with zero new
-  array allocations (``tests/test_dispatch_budget.py`` pins this).  A
-  scalar ``TCPConnection`` has no batch to amortise over, so
-  ``"numpy"`` and ``"compiled"`` both run the scalar analytic kernel
-  there.
+  array allocations (``tests/test_dispatch_budget.py`` pins this).
+  Lanes whose window-limited phase crosses an interval boundary run the
+  scalar per-RTT loop.
 * ``"compiled"`` — **the default**: the whole (lane-batch × session)
   chunk → decision → chunk loop in one compiled call
   (:mod:`repro.player._fused`): download, BBA/BOLA/RobustMPC decision
@@ -56,18 +56,18 @@ compiled tier); the names match the abduction tiers
   ``"numpy"`` with a once-per-process ``RuntimeWarning``
   (``BatchTCPConnection._tier`` records the effective tier).
 
-All tiers evaluate the same float predicates in the same order, so they
-produce bit-identical :class:`DownloadResult`s / batch columns and session
-logs (see ``tests/test_replay_parity.py``, ``tests/test_batch_replay.py``;
-the compiled tier is pinned at a documented ``rtol=1e-12`` tolerance,
-bit-identical in practice on every backend we test).  Unknown kernel names raise
-``ValueError`` at construction time, listing the available tiers.
+All tiers evaluate the same float predicates in the same order, so their
+batch columns and session logs are bit-identical to K independent scalar
+connections (see ``tests/test_batch_replay.py`` and
+``tests/test_tcp_differential.py``; the compiled tier is pinned at a
+documented ``rtol=1e-12`` tolerance, bit-identical in practice on every
+backend we test).  Unknown kernel names raise ``ValueError`` at
+construction time, listing the available tiers.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +111,10 @@ def resolve_kernel(kernel: str | None) -> str:
 
     ``None`` picks the effective default: ``DEFAULT_KERNEL`` when a
     compiled backend is live, ``"numpy"`` otherwise (the default degrades
-    silently).  All construction paths (scalar and batch connections,
-    sessions, the engine, the CLI) funnel through here so an unknown name
+    silently).  Every batch construction path (batch connections, batch
+    sessions, the engine, the CLI) funnels through here so an unknown name
     fails loudly with the list of available tiers instead of silently
-    running a default.
+    running a default.  A scalar :class:`TCPConnection` has no tier.
     """
     if kernel is None:
         return DEFAULT_KERNEL if _compiled.available() else "numpy"
@@ -132,59 +132,15 @@ def _grow_window(cwnd: int, ssthresh: int) -> int:
     return min(cwnd + 1, MAX_CWND_SEGMENTS)
 
 
-# Round schedules keyed by (cwnd0, ssthresh): cwnds[r] is the congestion
-# window at the start of round r, cum[r] the segments sent over rounds
-# 0..r-1, cwnd_bytes[r] == cwnds[r] * MSS as a float (so bisection against
-# byte quantities uses exactly the comparisons the reference loop makes).
-# Entries grow on demand and are shared across downloads and traces —
-# restarted connections revisit the same (cwnd, ssthresh) pairs constantly.
-_SCHEDULE_CACHE: dict[tuple[int, int], tuple[list[int], list[int], list[float]]] = {}
-_SCHEDULE_CACHE_MAX = 4096
-
-
-def _schedule(cwnd0: int, ssthresh: int) -> tuple[list[int], list[int], list[float]]:
-    key = (cwnd0, ssthresh)
-    entry = _SCHEDULE_CACHE.get(key)
-    if entry is None:
-        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.clear()
-        entry = ([cwnd0], [0], [float(cwnd0 * MSS_BYTES)])
-        _SCHEDULE_CACHE[key] = entry
-    return entry
-
-
-def _extend_schedule_for(
-    entry: tuple[list[int], list[int], list[float]],
-    ssthresh: int,
-    size_bytes: float,
-) -> bool:
-    """Grow ``entry`` until its cumulative bytes cover ``size_bytes``.
-
-    Returns False when the window saturates at ``MAX_CWND_SEGMENTS`` first —
-    the caller falls back to the reference loop for that (pathological,
-    multi-Gbps) download.
-    """
-    cwnds, cum, cwnd_bytes = entry
-    while cum[-1] * MSS_BYTES < size_bytes:
-        cwnd = cwnds[-1]
-        if cwnd >= MAX_CWND_SEGMENTS:
-            return False
-        cum.append(cum[-1] + cwnd)
-        nxt = _grow_window(cwnd, ssthresh)
-        cwnds.append(nxt)
-        cwnd_bytes.append(float(nxt * MSS_BYTES))
-    return True
-
-
 class _ScheduleTable:
     """Padded 2D mirrors of the window schedules for the scratch kernel.
 
     One row per distinct ``(cwnd0, ssthresh)`` pair, every row populated
     out to a fixed ``HORIZON`` of rounds: ``cb[p, r]`` is the congestion
-    window in bytes at the start of round ``r`` (the same
-    ``float(cwnd * MSS)`` values the list schedules hold), ``cum_mss`` the
-    bytes sent over rounds ``0..r-1``, and ``cover = cb + cum_mss`` — all
-    exact in float64, so ``cwnd_bytes[r] >= size - cum[r] * MSS`` and the
+    window in bytes at the start of round ``r`` (the ``cwnd * MSS`` the
+    per-RTT loop compares against the BDP), ``cum_mss`` the bytes sent
+    over rounds ``0..r-1``, and ``cover = cb + cum_mss`` — all exact in
+    float64, so the loop's ``cwnd_bytes >= size - sent * MSS`` and the
     countable ``cover[r] >= size`` agree bit for bit.  ``cwnds`` keeps one
     extra column so round ``r``'s post-growth window is a plain gather.
 
@@ -250,7 +206,7 @@ class _ScheduleTable:
         ssthresh = missing & ((1 << 21) - 1)
         cum = np.zeros(p, dtype=np.int64)
         # All quantities are integers below 2**53, so the float columns
-        # hold exactly the values the scalar schedule lists hold.
+        # hold exactly the values the per-RTT loop computes.
         for r in range(h):
             cwnds[:, r] = c
             cb[:, r] = c * MSS_BYTES
@@ -281,10 +237,10 @@ class _ScheduleTable:
 _SCHED_TABLE = _ScheduleTable()
 
 
-# The two download kernels, shared between the scalar TCPConnection and the
-# per-lane fallback of BatchTCPConnection.  Module-level (rather than
-# methods) so the batch engine runs *exactly* this code for lanes its
-# vectorised fast path cannot cover — bit-identity by construction.
+# The scalar download kernel, shared between TCPConnection and the per-lane
+# paths of BatchTCPConnection.  Module-level (rather than a method) so the
+# batch engine runs *exactly* this code for lanes its vectorised fast path
+# cannot cover — bit-identity by construction.
 
 
 def _fluid_finish(
@@ -341,101 +297,6 @@ def _reference_download(
         rounds += 1
 
 
-def _analytic_download(
-    trace: PiecewiseConstantTrace,
-    rtt: float,
-    size_bytes: float,
-    t0: float,
-    cwnd0: int,
-    ssthresh: int,
-) -> tuple[float, int, int]:
-    """Interval-wise closed form of :func:`_reference_download`.
-
-    Within one constant-bandwidth trace interval the BDP is constant,
-    so the first pipe-full round is a bisection of the precomputed
-    window schedule against the BDP, and the data-exhaustion round a
-    bisection of the monotone ``cwnd >= remaining`` predicate.  Only
-    interval crossings are walked explicitly.
-    """
-    bounds, values, _, _ = trace._scalar_mirrors()
-    last_start = bounds[-2]
-
-    entry = _schedule(cwnd0, ssthresh)
-    if not _extend_schedule_for(entry, ssthresh, size_bytes):
-        return _reference_download(trace, rtt, size_bytes, t0, cwnd0, ssthresh)
-    cwnds, cum, cwnd_bytes = entry
-    n_sched = len(cum)
-
-    n_intervals = len(values)
-    r = 0
-    while True:
-        t = t0 + r * rtt
-        # Inline interval lookup (clamped bisect, as in trace.value_at).
-        i = bisect_right(bounds, t) - 1
-        if i < 0:
-            i = 0
-        elif i >= n_intervals:
-            i = n_intervals - 1
-        bdp_bytes = mbps_to_bytes_per_sec(values[i]) * rtt
-        if cwnd_bytes[r] >= bdp_bytes:
-            # Pipe already full at the current round (the common case
-            # once the window has opened): straight to the fluid drain,
-            # skipping the boundary/data searches entirely.
-            remaining = size_bytes - cum[r] * MSS_BYTES
-            return _fluid_finish(trace, rtt, t, remaining, r, cwnds[r])
-
-        # Rounds available before the next interval boundary (None when
-        # the final value holds forever).
-        if t >= last_start:
-            n_boundary = None
-        else:
-            seg_end = bounds[i + 1]
-            n = int(math.ceil((seg_end - t) / rtt))
-            if n < 1:
-                n = 1
-            while t0 + (r + n) * rtt < seg_end:
-                n += 1
-            while n > 1 and t0 + (r + n - 1) * rtt >= seg_end:
-                n -= 1
-            n_boundary = n
-
-        # First round (>= r) whose window fills this interval's pipe.
-        k_fluid = bisect_left(cwnd_bytes, bdp_bytes, r) - r
-
-        # First round (>= r) whose window covers the remaining bytes:
-        # cwnd_bytes[j] >= size - cum[j] * MSS, monotone in j, and
-        # guaranteed true by the end of the schedule.
-        lo, hi = r, n_sched - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cwnd_bytes[mid] >= size_bytes - cum[mid] * MSS_BYTES:
-                hi = mid
-            else:
-                lo = mid + 1
-        k_data = lo - r
-
-        in_interval = (
-            n_boundary is None
-            or k_fluid < n_boundary
-            or k_data < n_boundary
-        )
-        if in_interval and k_fluid <= k_data:
-            # Pipe full at round r + k_fluid (ties go to the fluid
-            # check, mirroring the reference's per-round order).
-            r += k_fluid
-            t = t0 + r * rtt
-            remaining = size_bytes - cum[r] * MSS_BYTES
-            return _fluid_finish(trace, rtt, t, remaining, r, cwnds[r])
-        if in_interval:
-            # Data exhausted: round r + k_data is the final
-            # window-limited round.
-            r += k_data
-            return t0 + (r + 1) * rtt, r + 1, _grow_window(cwnds[r], ssthresh)
-        # Neither fires before the boundary: cross into the next
-        # interval having spent n_boundary full window rounds.
-        r += n_boundary
-
-
 @dataclass(frozen=True, slots=True)
 class DownloadResult:
     """Outcome of a single chunk download."""
@@ -467,13 +328,9 @@ class TCPConnection:
         End-to-end round-trip propagation delay (the paper uses 80 ms).
     start_time_s:
         Wall-clock time at which the connection is established.
-    kernel:
-        A tier from ``KERNEL_TIERS``; ``None`` picks the module-level
-        ``DEFAULT_KERNEL``.  All tiers produce bit-identical results —
-        the reference exists as the golden parity target.  The batch
-        tiers (``"numpy"``, ``"compiled"``) have nothing to amortise over
-        on a single scalar connection, so they run the analytic kernel
-        here.
+
+    Every download runs the per-RTT loop :func:`_reference_download`, the
+    golden model the batch tiers are pinned against.
     """
 
     def __init__(
@@ -481,17 +338,11 @@ class TCPConnection:
         trace: PiecewiseConstantTrace,
         rtt_s: float = 0.08,
         start_time_s: float = 0.0,
-        kernel: str | None = None,
     ):
         if rtt_s <= 0:
             raise ValueError(f"rtt must be positive, got {rtt_s}")
-        resolved = resolve_kernel(kernel)
         self.trace = trace
         self.rtt_s = rtt_s
-        self.kernel = resolved
-        self._run = (
-            self._run_reference if resolved == "reference" else self._run_analytic
-        )
         self.state = MutableTCPState(last_send_time_s=start_time_s)
         # The handshake measures the first RTT sample.
         self.state.observe_rtt(rtt_s)
@@ -530,7 +381,9 @@ class TCPConnection:
         # The HTTP request consumes one round trip before payload flows;
         # the client-side download time (what logs record) includes it.
         t0 = float(start_time_s) + self.rtt_s
-        end_time, rounds, cwnd = self._run(float(size_bytes), t0, cwnd, ssthresh)
+        end_time, rounds, cwnd = _reference_download(
+            self.trace, self.rtt_s, float(size_bytes), t0, cwnd, ssthresh
+        )
 
         state.cwnd_segments = cwnd
         state.ssthresh_segments = ssthresh
@@ -544,29 +397,6 @@ class TCPConnection:
             rounds=rounds,
             slow_start_restarted=restarted,
             tcp_state_at_start=snapshot,
-        )
-
-    # ------------------------------------------------------------------
-    def _finish_fluid(
-        self, t: float, remaining: float, rounds: int, cwnd: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_fluid_finish`."""
-        return _fluid_finish(self.trace, self.rtt_s, t, remaining, rounds, cwnd)
-
-    def _run_reference(
-        self, size_bytes: float, t0: float, cwnd: int, ssthresh: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_reference_download`."""
-        return _reference_download(
-            self.trace, self.rtt_s, size_bytes, t0, cwnd, ssthresh
-        )
-
-    def _run_analytic(
-        self, size_bytes: float, t0: float, cwnd0: int, ssthresh: int
-    ) -> tuple[float, int, int]:
-        """Delegates to the module-level :func:`_analytic_download`."""
-        return _analytic_download(
-            self.trace, self.rtt_s, size_bytes, t0, cwnd0, ssthresh
         )
 
     # ------------------------------------------------------------------
@@ -735,9 +565,8 @@ class BatchTCPConnection:
     def _download_reference(
         self, size_bytes: np.ndarray, start_times_s: np.ndarray
     ) -> "_MutableBatchResult":
-        """Lane by lane, exactly what ``TCPConnection(kernel="reference")``
-        runs per download: the scalar restart decay, then the per-RTT
-        golden loop."""
+        """Lane by lane, exactly what :meth:`TCPConnection.download` runs:
+        the scalar restart decay, then the per-RTT golden loop."""
         b = self._scratch
         tb = self.batch
         rtt = self.rtt_s
@@ -891,19 +720,21 @@ class BatchTCPConnection:
     ) -> None:
         """Vectorised analytic round skip for a ragged chunk (all lanes).
 
-        The batch mirror of :func:`_analytic_download`'s no-crossing fast
-        case: within one constant-bandwidth interval the BDP is constant,
-        so the first pipe-full round (``kf``) and the data-exhaustion
-        round (``kd``) are bisections of the per-lane window schedule —
-        no per-RTT loop.  Per-lane schedules resolve through the shared
+        The closed form of :func:`_reference_download` for lanes whose
+        window-limited phase stays inside one constant-bandwidth interval:
+        there the BDP is constant, so the first pipe-full round (``kf``)
+        and the data-exhaustion round (``kd``) are monotone-predicate
+        counts over the per-lane window schedule — no per-RTT loop.
+        Per-lane schedules resolve through the shared
         :class:`_ScheduleTable` (one ``searchsorted`` row lookup, then a
         broadcast count against the padded rows — bisect_left as a
         monotone-predicate sum), pipe-full-at-round-0 lanes fall out with
         ``k == 0``, and all fluid drains merge into one batched
         :meth:`~repro.net.trace.TraceBatch.transfer_drain` call.
         Lanes whose window-limited phase would cross an interval boundary
-        or outrun the table horizon fall back to the scalar analytic
-        kernel per lane.
+        or outrun the table horizon run the scalar per-RTT loop
+        (:func:`_reference_download`) per lane — the same code a scalar
+        connection runs, so they stay bit-identical by construction.
         """
         b = self._scratch
         ws = self._ws
@@ -931,9 +762,9 @@ class BatchTCPConnection:
         ok = (k < h) & ((idx0 == last) | (tk < bounds[idx0 + 1]))
         if np.count_nonzero(ok) != ok.size:
             # Interval crossing mid-phase (or a horizon overrun): the
-            # per-lane scalar analytic kernel.
+            # per-lane scalar loop.
             for j in np.flatnonzero(~ok):
-                e, _, grown = _analytic_download(
+                e, _, grown = _reference_download(
                     tb.lane(int(j)),
                     rtt,
                     float(sizes[j]),

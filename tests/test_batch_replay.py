@@ -133,7 +133,7 @@ class TestTraceBatch:
 
     def test_transfer_drain_long_spills_bit_identical(self):
         # Big transfers spill across many intervals: past the forward
-        # walk's budget onto the scalar bisection.
+        # walk's budget onto the scalar walk.
         lanes = lane_traces(24, seed=13)
         batch = TraceBatch(lanes)
         rng = np.random.default_rng(2)
@@ -468,7 +468,7 @@ class TestKernelTierParity:
         sizes = np.array([self._size_for_rounds(r) for r in targets])
         starts = np.zeros(len(targets))
 
-        refs = [TCPConnection(trace, kernel="reference") for _ in targets]
+        refs = [TCPConnection(trace) for _ in targets]
         want_results = [
             ref.download(float(sizes[k]), 0.0) for k, ref in enumerate(refs)
         ]
@@ -493,7 +493,7 @@ class TestKernelTierParity:
         n = 6
         rng = np.random.default_rng(17)
         conn = BatchTCPConnection(TraceBatch([trace] * n), kernel=tier)
-        serial = [TCPConnection(trace, kernel="numpy") for _ in range(n)]
+        serial = [TCPConnection(trace) for _ in range(n)]
         starts = np.zeros(n)
         for _ in range(4):
             sizes = 10 ** rng.uniform(4.5, 6.5, n)

@@ -93,9 +93,10 @@ class TestTrackedArtifacts:
             if ".egg-info" in path
             or path.startswith((".pytest_cache/", ".benchmarks/"))
             # BENCH_seed.json / BENCH_pr8.json / BENCH_pr9.json /
-            # BENCH_pr12.json are the committed perf baselines the CI
-            # perf-regression job diffs against; every other BENCH_*.json
-            # is a local run artifact that must stay untracked.
+            # BENCH_pr12.json / BENCH_pr13.json are the committed perf
+            # baselines (the CI perf-regression job diffs against seed and
+            # pr13); every other BENCH_*.json is a local run artifact that
+            # must stay untracked.
             or (
                 path.startswith("BENCH_")
                 and path.endswith(".json")
@@ -105,6 +106,7 @@ class TestTrackedArtifacts:
                     "BENCH_pr8.json",
                     "BENCH_pr9.json",
                     "BENCH_pr12.json",
+                    "BENCH_pr13.json",
                 )
             )
         ]

@@ -1,23 +1,19 @@
-"""Parity suite for the replay fast paths (PR 2).
+"""Parity suite for the scalar replay path and the query planner.
 
-Three layers each keep a scalar reference implementation alive; this suite
-pins the fast paths to them bit for bit:
-
-* ``PiecewiseConstantTrace.time_to_transfer`` (bisection over the
-  cumulative-bytes integral) vs ``time_to_transfer_reference`` (interval
-  walk),
-* ``TCPConnection`` analytic kernel (interval-wise closed form) vs the
-  per-RTT reference loop — including whole sessions under BBA/BOLA/MPC,
+* The scalar path (``run_setting``, ``CounterfactualEngine(use_batch=False)``
+  and the ``on_error="degrade"`` retry) runs the per-RTT golden loop
+  ``_reference_download`` — the one scalar TCP download implementation
+  every batch tier is pinned against (``test_batch_replay.py``,
+  ``test_tcp_differential.py``).  Its value-level behaviour is tested in
+  ``test_trace.py`` / ``test_tcp_connection.py``.
+* ``PiecewiseConstantTrace.time_to_transfer`` (the scalar interval walk)
+  vs a one-lane ``TraceBatch.transfer_drain`` on the edge shapes: start
+  past the trace end, in-interval finish, zero-bandwidth gaps, trailing
+  zero bandwidth and zero-byte transfers.  Random shapes are covered in
+  ``test_batch_replay.py`` and ``test_trace.py``.
 * ``CounterfactualEngine.evaluate_many`` over a prepared corpus vs
   back-to-back ``evaluate_corpus`` / per-trace ``evaluate_trace`` calls.
-
-Scope note: bit-identity between fast path and reference is only
-achievable because they share head/bookkeeping helpers
-(``_transfer_prefix``, ``_grow_window``, ``_finish_fluid``), so these
-parity tests pin the *search/stepping* logic, not the shared helpers.
-Defects in the shared code are instead caught by the value-level tests
-here (known closed-form answers) and in ``test_trace.py`` /
-``test_tcp_connection.py`` (integral round-trips, session semantics).
+* Every engine ``kernel=`` tier answers causal queries identically.
 """
 
 from __future__ import annotations
@@ -35,122 +31,100 @@ from repro import (
     paper_veritas_config,
 )
 from repro.causal.engine import run_setting
-from repro.net.trace import PiecewiseConstantTrace
-from repro.tcp.connection import TCPConnection
+from repro.net.trace import PiecewiseConstantTrace, TraceBatch
+from repro.player.session import StreamingSession
 from repro.util.rng import spawn_seeds
 
 
-def random_trace(
-    rng: np.random.Generator,
-    with_gaps: bool = True,
-    trailing_positive: bool = False,
-):
-    """A random piecewise trace, optionally with zero-bandwidth intervals."""
-    k = int(rng.integers(1, 14))
-    bounds = np.cumsum(rng.uniform(0.05, 8.0, k + 1)) - 2.0
-    vals = rng.uniform(0.0, 10.0, k)
-    if with_gaps:
-        vals[rng.random(k) < 0.3] = 0.0
-    if vals[-1] == 0.0 and (trailing_positive or rng.random() < 0.7):
-        vals[-1] = float(rng.uniform(0.5, 5.0))
-    return PiecewiseConstantTrace(bounds, vals)
+def drain(trace: PiecewiseConstantTrace, start: float, size: float) -> float:
+    """One transfer through a one-lane ``TraceBatch.transfer_drain``."""
+    batch = TraceBatch([trace])
+    starts = np.array([start])
+    got = batch.transfer_drain(
+        starts, np.array([size]), np.arange(1), batch.interval_indices(starts)
+    )
+    return float(got[0])
 
 
 class TestTimeToTransferParity:
-    def test_randomized_bit_identical(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        for _ in range(1500):
-            tr = random_trace(rng)
-            start = float(rng.uniform(tr.start_time - 5, tr.end_time + 5))
-            size = float(10 ** rng.uniform(-2, 7))
-            try:
-                fast = tr.time_to_transfer(start, size)
-                fast_err = None
-            except RuntimeError:
-                fast = fast_err = "stalled"
-            try:
-                ref = tr.time_to_transfer_reference(start, size)
-                ref_err = None
-            except RuntimeError:
-                ref = ref_err = "stalled"
-            assert fast_err == ref_err
-            assert fast == ref  # bit-identical, no tolerance
-            checked += 1
-        assert checked == 1500
-
     def test_start_past_end_time(self):
         tr = PiecewiseConstantTrace([0.0, 10.0], [4.0])
         for start in (10.0, 25.0):
-            fast = tr.time_to_transfer(start, 1e6)
-            assert fast == tr.time_to_transfer_reference(start, 1e6)
-            assert fast == pytest.approx(2.0)
+            scalar = tr.time_to_transfer(start, 1e6)
+            assert scalar == drain(tr, start, 1e6)
+            assert scalar == pytest.approx(2.0)
 
     def test_sub_interval_transfer(self):
         tr = PiecewiseConstantTrace([0.0, 5.0, 10.0], [8.0, 2.0])
         size = 1e5  # finishes well inside the first interval
-        fast = tr.time_to_transfer(1.0, size)
-        assert fast == tr.time_to_transfer_reference(1.0, size)
-        assert fast == pytest.approx(size / (8.0 * 1e6 / 8))
+        scalar = tr.time_to_transfer(1.0, size)
+        assert scalar == drain(tr, 1.0, size)
+        assert scalar == pytest.approx(size / (8.0 * 1e6 / 8))
 
     def test_zero_gap_then_resume(self):
         tr = PiecewiseConstantTrace([0.0, 2.0, 6.0, 8.0], [4.0, 0.0, 4.0])
         size = tr.integrate_bytes(0.0, 7.0)
-        fast = tr.time_to_transfer(0.0, size)
-        assert fast == tr.time_to_transfer_reference(0.0, size)
-        assert fast == pytest.approx(7.0, abs=1e-6)
+        scalar = tr.time_to_transfer(0.0, size)
+        assert scalar == drain(tr, 0.0, size)
+        assert scalar == pytest.approx(7.0, abs=1e-6)
 
     def test_trailing_zero_raises_in_both(self):
         tr = PiecewiseConstantTrace([0.0, 2.0], [0.0])
         with pytest.raises(RuntimeError):
             tr.time_to_transfer(0.0, 1e5)
         with pytest.raises(RuntimeError):
-            tr.time_to_transfer_reference(0.0, 1e5)
+            drain(tr, 0.0, 1e5)
 
     def test_zero_size_is_free(self):
         tr = PiecewiseConstantTrace([0.0, 2.0], [1.0])
         assert tr.time_to_transfer(0.5, 0.0) == 0.0
-        assert tr.time_to_transfer_reference(0.5, 0.0) == 0.0
+        assert drain(tr, 0.5, 0.0) == 0.0
 
 
-class TestDownloadKernelParity:
-    def test_randomized_download_sequences(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            # Downloads over a trace that ends at zero bandwidth stall
-            # forever (a RuntimeError in both kernels), so keep the tail
-            # positive; interior zero-bandwidth gaps stay in play.
-            tr = random_trace(rng, trailing_positive=True)
-            rtt = float(rng.uniform(0.02, 0.3))
-            fast = TCPConnection(tr, rtt_s=rtt, kernel="numpy")
-            ref = TCPConnection(tr, rtt_s=rtt, kernel="reference")
-            t = 0.0
-            for _ in range(int(rng.integers(1, 7))):
-                t += float(rng.uniform(0.0, 4.0))
-                size = float(10 ** rng.uniform(3, 6.8))
-                ra = fast.download(size, t)
-                rb = ref.download(size, t)
-                assert ra == rb  # dataclass equality: all fields bit-identical
-                assert fast.state.cwnd_segments == ref.state.cwnd_segments
-                assert fast.state.ssthresh_segments == ref.state.ssthresh_segments
-                t = ra.end_time_s
+class TestScalarPathIsGolden:
+    """The scalar path — ``run_setting``, ``use_batch=False`` and the
+    ``on_error="degrade"`` retry — runs the per-RTT golden loop, one
+    ``_reference_download`` call per chunk download."""
 
-    def test_unknown_kernel_rejected(self):
-        tr = PiecewiseConstantTrace([0.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            TCPConnection(tr, kernel="warp-drive")
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count golden-loop calls and the chunks every scalar session logs."""
+        counts = {"downloads": 0, "chunks": 0}
+        golden = connection_module._reference_download
+        run = StreamingSession.run
+
+        def download(*args):
+            counts["downloads"] += 1
+            return golden(*args)
+
+        def session_run(self):
+            log = run(self)
+            counts["chunks"] += log.n_chunks
+            return log
+
+        monkeypatch.setattr(connection_module, "_reference_download", download)
+        monkeypatch.setattr(StreamingSession, "run", session_run)
+        return counts
 
     @pytest.mark.parametrize("abr", ["bba", "bola", "mpc"])
-    def test_full_session_logs_bit_identical(self, abr, monkeypatch):
+    def test_run_setting_runs_golden_loop(self, abr, counted):
+        setting = change_abr(paper_setting_a(seed=7), abr)
+        trace = paper_corpus(count=1, duration_s=500.0, seed=99)[0]
+        log = run_setting(setting, trace)
+        assert log.n_chunks > 0
+        assert counted == {"downloads": log.n_chunks, "chunks": log.n_chunks}
+
+    def test_unbatched_engine_runs_golden_loop(self, counted):
         setting_a = paper_setting_a(seed=7)
-        setting = change_abr(setting_a, abr)
-        traces = paper_corpus(count=2, duration_s=500.0, seed=99)
-        logs = {}
-        for kernel in ("numpy", "reference"):
-            monkeypatch.setattr(connection_module, "DEFAULT_KERNEL", kernel)
-            logs[kernel] = [run_setting(setting, tr) for tr in traces]
-        for log_fast, log_ref in zip(logs["numpy"], logs["reference"]):
-            assert log_fast == log_ref  # SessionLog equality is field-exact
+        traces = paper_corpus(count=1, duration_s=400.0, seed=31)
+        engine = CounterfactualEngine(
+            paper_veritas_config(), n_samples=2, seed=5, use_batch=False
+        )
+        prepared = engine.prepare_corpus(traces, setting_a)
+        engine.evaluate_many(prepared, [change_abr(setting_a, "bba")])
+        # Setting A once, then truth + baseline + 2 samples under Setting B.
+        n = 5 * setting_a.video.n_chunks
+        assert counted == {"downloads": n, "chunks": n}
 
 
 class TestPreparedCorpusParity:

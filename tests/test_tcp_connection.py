@@ -116,6 +116,20 @@ class TestVaryingBandwidth:
         # Two seconds at 5, two stalled, rest at 5 => more than 4 s.
         assert r.duration_s > 4.0
 
+    def test_request_inside_zero_period_waits(self):
+        trace = PiecewiseConstantTrace.from_uniform([5.0, 0.0, 5.0], 2.0)
+        conn = TCPConnection(trace)
+        r = conn.download(100_000, 2.5)
+        # Nothing moves until the bandwidth resumes at 4 s; then 100 kB
+        # drain at 625 kB/s.
+        assert r.end_time_s == pytest.approx(4.0 + 100_000 / 625_000)
+
+    def test_request_before_trace_start_holds_first_value(self):
+        late = TCPConnection(PiecewiseConstantTrace([5.0, 100.0], [5.0]))
+        early = TCPConnection(constant_trace(5.0, 100.0))
+        for size, start in [(300_000, 0.0), (1_500_000, 1.0)]:
+            assert late.download(size, start) == early.download(size, start)
+
     def test_never_finishing_raises(self):
         trace = PiecewiseConstantTrace.from_uniform([5.0, 0.0], 1.0)
         conn = TCPConnection(trace)

@@ -94,13 +94,29 @@ class TestQueries:
             simple_trace.integrate_bytes(5.0, 1.0)
 
 
+def random_trace(rng: np.random.Generator) -> PiecewiseConstantTrace:
+    """A random piecewise trace with zero-bandwidth intervals, starting at
+    -2 s so queries land before, inside and after its span."""
+    k = int(rng.integers(1, 14))
+    bounds = np.cumsum(rng.uniform(0.05, 8.0, k + 1)) - 2.0
+    vals = rng.uniform(0.0, 10.0, k)
+    vals[rng.random(k) < 0.3] = 0.0
+    if vals[-1] == 0.0 and rng.random() < 0.7:
+        vals[-1] = float(rng.uniform(0.5, 5.0))
+    return PiecewiseConstantTrace(bounds, vals)
+
+
 class TestTimeToTransfer:
     def test_zero_bytes(self, simple_trace):
         assert simple_trace.time_to_transfer(0.0, 0.0) == 0.0
+        assert simple_trace.time_to_transfer(7.5, 0.0) == 0.0
 
     def test_within_first_interval(self, simple_trace):
         size = transfer_bytes(5.0, 2.0)
         assert simple_trace.time_to_transfer(0.0, size) == pytest.approx(2.0)
+        # Starting mid-interval and finishing well inside it.
+        tr = PiecewiseConstantTrace([0.0, 5.0, 10.0], [8.0, 2.0])
+        assert tr.time_to_transfer(1.0, 1e5) == pytest.approx(1e5 / 1e6)
 
     def test_spans_intervals(self, simple_trace):
         size = transfer_bytes(5.0, 5.0) + transfer_bytes(1.0, 2.5)
@@ -109,21 +125,61 @@ class TestTimeToTransfer:
     def test_start_past_end(self, simple_trace):
         size = transfer_bytes(10.0, 1.0)
         assert simple_trace.time_to_transfer(20.0, size) == pytest.approx(1.0)
+        # Exactly at end_time the final value already holds.
+        assert simple_trace.time_to_transfer(15.0, size) == pytest.approx(1.0)
+
+    def test_hold_before_start(self):
+        tr = PiecewiseConstantTrace([2.0, 5.0], [4.0])
+        # The first value (0.5 MB/s) holds before the trace begins.
+        assert tr.time_to_transfer(0.0, 1e6) == pytest.approx(2.0)
+        assert tr.time_to_transfer(0.0, 1.5e6) == pytest.approx(3.0)
+        # A zero first value holds too: wait for the trace to resume.
+        gap = PiecewiseConstantTrace([2.0, 4.0, 6.0], [0.0, 4.0])
+        assert gap.time_to_transfer(0.0, 1e6) == pytest.approx(6.0)
 
     def test_zero_interval_is_skipped(self):
         tr = PiecewiseConstantTrace.from_uniform([5.0, 0.0, 5.0], 1.0)
         size = transfer_bytes(5.0, 1.5)
         # 1 s at 5, 1 s stalled at 0, 0.5 s at 5.
         assert tr.time_to_transfer(0.0, size) == pytest.approx(2.5)
+        # Starting inside the zero interval waits for it to end.
+        assert tr.time_to_transfer(1.5, size / 3) == pytest.approx(0.5 + 0.5)
 
     def test_trailing_zero_raises(self):
         tr = PiecewiseConstantTrace.from_uniform([5.0, 0.0], 1.0)
         with pytest.raises(RuntimeError):
             tr.time_to_transfer(0.0, transfer_bytes(5.0, 10.0))
+        with pytest.raises(RuntimeError):
+            PiecewiseConstantTrace([0.0, 2.0], [0.0]).time_to_transfer(0.0, 1e5)
 
     def test_rejects_negative_size(self, simple_trace):
         with pytest.raises(ValueError):
             simple_trace.time_to_transfer(0.0, -1.0)
+
+    def test_randomized_round_trip(self):
+        """Random traces with zero-bandwidth intervals, starts before, inside
+        and after the span: a transfer finishes exactly when the integral
+        reaches its size, and stalls only when the trailing bandwidth is
+        zero and the rest of the trace cannot carry it."""
+        rng = np.random.default_rng(7)
+        stalled = finished = 0
+        for _ in range(1500):
+            tr = random_trace(rng)
+            start = float(rng.uniform(tr.start_time - 5, tr.end_time + 5))
+            size = float(10 ** rng.uniform(-2, 7))
+            try:
+                dt = tr.time_to_transfer(start, size)
+            except RuntimeError:
+                stalled += 1
+                assert tr.values[-1] == 0.0
+                end = max(start, tr.end_time)
+                assert tr.integrate_bytes(start, end) < size
+                continue
+            finished += 1
+            assert dt >= 0.0
+            moved = tr.integrate_bytes(start, start + dt)
+            assert moved == pytest.approx(size, rel=1e-9, abs=1e-6)
+        assert stalled and finished
 
     def test_inverse_of_integrate(self, simple_trace):
         for start in [0.0, 2.5, 6.0, 11.0]:
